@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEGENERACY_EPS, GLOBAL_EPS
+from .config import DEGENERACY_EPS, GLOBAL_EPS, INGEST_NORM_TOL
 from .measures import HalfspaceCell
 from .sphere import arc_length, vertex_angle
 
@@ -61,7 +61,7 @@ class InscribedSimplex:
         if V.ndim != 2 or V.shape[0] != V.shape[1] + 1 or V.shape[1] < 2:
             raise ValueError("vertices must be a (d+1, d) array with d >= 2")
         norms = np.linalg.norm(V, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
+        if np.max(np.abs(norms - 1.0)) > INGEST_NORM_TOL:
             raise ValueError("all vertices must lie on the unit sphere")
         diffs = V[1:] - V[0]
         if abs(np.linalg.det(diffs)) < DEGENERACY_EPS:
@@ -294,7 +294,9 @@ def decompose_simplex(T_vertices: np.ndarray, O: np.ndarray) -> list[SignedPathS
     if T.ndim != 2 or T.shape[0] < 2:
         raise ValueError("need at least two vertices")
     pieces = _decompose(T, O, O)
-    assert len(pieces) == math.factorial(T.shape[0])
+    if len(pieces) != math.factorial(T.shape[0]):
+        raise RuntimeError(f"decomposition produced {len(pieces)} pieces, "
+                           f"expected {math.factorial(T.shape[0])}")
     return [SignedPathSimplex(np.array(path), s) for s, path in pieces]
 
 
@@ -566,7 +568,8 @@ def feasibility_checks(S: InscribedSimplex, n_samples: int = 100_000,
     V = S.vertices
     d = S.d
     in_hull = _origin_in_hull(V)
-    on_sphere = bool(np.max(np.abs(np.linalg.norm(V, axis=1) - 1.0)) <= 1e-9)
+    on_sphere = bool(np.max(np.abs(np.linalg.norm(V, axis=1) - 1.0))
+                     <= INGEST_NORM_TOL)
 
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((n_samples, d))

@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -253,6 +252,7 @@ def cmd_optimize(args) -> int:
         "regular_width": regular_tetrahedron_width() if args.d == 3 else None,
         "iterations": final.iteration,
         "converged": final.converged,
+        "grad_norm": final.grad_norm,
         "restarts": len(traces),
     }))
     return _EXIT_OK
@@ -362,12 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # MWK_THREADS caps BLAS worker threads (speed only, never results)
-    threads = os.environ.get("MWK_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

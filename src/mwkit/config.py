@@ -1,4 +1,4 @@
-"""Numerical tolerances and finite-difference constants shared across mwkit."""
+"""Numerical tolerances shared across mwkit."""
 
 # Degeneracy tolerance for dot products, determinants and projections that
 # should be exactly zero/one in exact arithmetic.
@@ -11,8 +11,3 @@ DEGENERACY_EPS = 1e-10
 # Unit-norm tolerance accepted when ingesting externally produced vertices.
 INGEST_NORM_TOL = 1e-9
 
-# Finite-difference step sizes for the derivative oracles.  Fixed so that the
-# oracle is reproducible; gradient checks use plain central differences,
-# Hessian checks add one level of Richardson extrapolation.
-FD_STEP_GRADIENT = 1e-5
-FD_STEP_HESSIAN = 1e-4

@@ -13,7 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cells import (DegeneracyError, InscribedSimplex, _complex24_core,
+from .cells import (_PAIR_A, _PAIR_B, _PAIR_OTH, DegeneracyError,
+                    InscribedSimplex, _complex24_core, _triple_points,
                     cell_vertex, decompose_simplex)
 from .measures import HalfspaceCell, cell_marginal_mean_MAT
 
@@ -56,32 +57,87 @@ def support_function(S: InscribedSimplex, u: np.ndarray) -> float:
     return float(np.max(S.vertices @ u))
 
 
-def mean_width_mc(S: InscribedSimplex, n: int, seed: int) -> WidthEstimate:
-    """2 * E[max_i X . v_i] by uniform sphere sampling (seeded, batched)."""
+def _sphere_samples(d: int, n: int, seed: int):
+    """n seeded uniform points on S^{d-1}, in batches of <= _MC_BATCH rows.
+
+    The one sampler behind the Monte Carlo width and its gradient, so both
+    see the same points for the same (n, seed).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    V = S.vertices
     rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
     left = n
     while left > 0:
         m = min(left, _MC_BATCH)
-        u = rng.standard_normal((m, S.d))
+        u = rng.standard_normal((m, d))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
+        yield u
+        left -= m
+
+
+def mean_width_mc(S: InscribedSimplex, n: int, seed: int) -> WidthEstimate:
+    """2 * E[max_i X . v_i] by uniform sphere sampling (seeded, batched)."""
+    V = S.vertices
+    total = 0.0
+    total_sq = 0.0
+    for u in _sphere_samples(S.d, n, seed):
         h = np.max(u @ V.T, axis=1)
         total += h.sum()
         total_sq += np.square(h).sum()
-        left -= m
     mean = total / n
     var = max(total_sq / n - mean ** 2, 0.0)
     se = 2.0 * math.sqrt(var / n) if n > 1 else 2.0 * math.sqrt(var)
     return WidthEstimate(2.0 * mean, se, "monte_carlo")
 
 
+def _mc_width_and_gradient(V: np.ndarray, n: int, seed: int):
+    """The fixed-seed Monte Carlo width 2/n sum_s max_j u_s . v_j and its exact
+    derivative G_i = 2/n sum_s u_s 1{argmax_j u_s . v_j = i}, projected onto
+    the sphere tangents; same samples as ``mean_width_mc``."""
+    total = 0.0
+    G = np.zeros_like(V)
+    for u in _sphere_samples(V.shape[1], n, seed):
+        P = u @ V.T
+        best = np.argmax(P, axis=1)
+        total += P[np.arange(len(P)), best].sum()
+        for c in range(V.shape[1]):
+            G[:, c] += np.bincount(best, weights=u[:, c], minlength=len(V))
+    return 2.0 * (total / n), _tangent(2.0 * G / n, V)
+
+
+def _tangent(G: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Row-wise projection of G onto the tangent spaces of the sphere at V."""
+    return G - np.sum(G * V, axis=1, keepdims=True) * V
+
+
 def _exact3d_value(V: np.ndarray) -> float:
     sigma, a, b, _, _ = _complex24_core(V)
     return float(np.sum(sigma * a * np.sin(b)) / (4.0 * np.pi))
+
+
+# +1 at the first and -1 at the second vertex of each of the six pairs
+_PAIR_SIGN = np.zeros((4, 6))
+_PAIR_SIGN[_PAIR_A, np.arange(6)] = 1.0
+_PAIR_SIGN[_PAIR_B, np.arange(6)] = -1.0
+
+
+def _exact3d_gradient(V: np.ndarray) -> np.ndarray:
+    """Tangential gradient of the exact d = 3 width.
+
+    dw/dv_i = 2 E[u 1{u in cell i}], and by the divergence theorem on S^2 the
+    integral of u over the spherical triangle of cell i is half the sum of its
+    edge lengths times the inward edge normals.  The edge shared with cell j
+    lies on the bisector plane of (v_i, v_j) and joins the complex vertices
+    q_k, q_l with {k, l} the complement of {i, j}, so
+    grad_i w = (1/4pi) sum_j l_ij (v_i - v_j)/|v_i - v_j| with
+    l_ij = arc(q_k, q_l).
+    """
+    q = _triple_points(V)
+    cos_ell = np.einsum("kd,kd->k", q[_PAIR_OTH[:, 0]], q[_PAIR_OTH[:, 1]])
+    ell = np.arccos(np.clip(cos_ell, -1.0, 1.0))
+    diff = V[_PAIR_A] - V[_PAIR_B]
+    edge = (ell / np.linalg.norm(diff, axis=1))[:, None] * diff
+    return _tangent(_PAIR_SIGN @ edge / (4.0 * np.pi), V)
 
 
 def mean_width_exact3d(S: InscribedSimplex) -> WidthEstimate:
@@ -193,6 +249,7 @@ class OptimizerState:
     step_size: float
     regularity: float
     converged: bool
+    grad_norm: float  # norm of the projected gradient at this simplex
 
 
 def _normalize_rows(V: np.ndarray) -> np.ndarray:
@@ -201,12 +258,14 @@ def _normalize_rows(V: np.ndarray) -> np.ndarray:
 
 def optimize_width(d: int, init="random", *, max_iter: int = 1000,
                    step0: float = 0.2, tol: float = 1e-10, seed: int = 0,
-                   mc_samples: int = 100_000, fd_step: float = 1e-6,
+                   mc_samples: int = 100_000,
                    min_step: float = 1e-13) -> list[OptimizerState]:
     """Projected gradient ascent of the mean width over inscribed simplices.
 
-    d = 3 uses the exact objective; higher d uses common-random-numbers Monte
-    Carlo with a fixed seed so ascent decisions are stable.  Vertices are
+    d = 3 uses the exact objective and its closed-form gradient from the
+    Voronoi edge lengths; higher d uses common-random-numbers Monte Carlo with
+    a fixed seed, so ascent decisions are stable, and the exact derivative of
+    that fixed-seed objective from the same samples.  Vertices are
     renormalized to the sphere after every step; steps that fail to improve
     are backtracked.  Returns the trace of accepted states.
     """
@@ -224,46 +283,37 @@ def optimize_width(d: int, init="random", *, max_iter: int = 1000,
     if d == 3:
         def objective(W):
             return _exact3d_value(W)
+        gradient = _exact3d_gradient
         method = "exact3d"
     else:
         obj_seed = int(rng.integers(2 ** 31))
 
         def objective(W):
             return mean_width_mc(InscribedSimplex(W), mc_samples, obj_seed).value
+
+        def gradient(W):
+            return _mc_width_and_gradient(W, mc_samples, obj_seed)[1]
         method = "monte_carlo"
 
-    def safe_objective(W, context):
+    def checked(fn, W, context):
         try:
-            return objective(W)
+            return fn(W)
         except DegeneracyError as exc:
             raise DegeneracyError(f"objective failed at {context}: {exc}") from exc
 
-    def make_state(W, w, it, step, converged):
+    def make_state(W, w, grad, it, step, converged):
         S = InscribedSimplex(W.copy())
         return OptimizerState(
             simplex=S, width=WidthEstimate(w, 0.0, method), iteration=it,
-            step_size=step, regularity=regularity_metric(S), converged=converged)
+            step_size=step, regularity=regularity_metric(S), converged=converged,
+            grad_norm=float(np.linalg.norm(grad)))
 
-    w = safe_objective(V, "initial point")
+    w = checked(objective, V, "initial point")
+    grad = checked(gradient, V, "initial point")
     step = step0
-    trace = [make_state(V, w, 0, step, False)]
-    n_coords = V.size
+    trace = [make_state(V, w, grad, 0, step, False)]
 
     for it in range(1, max_iter + 1):
-        # central finite-difference gradient, projected to the sphere tangents
-        grad = np.zeros_like(V)
-        flat = V.ravel()
-        g = grad.ravel()
-        for k in range(n_coords):
-            orig = flat[k]
-            flat[k] = orig + fd_step
-            wp = safe_objective(_normalize_rows(V), f"iteration {it} (fd probe)")
-            flat[k] = orig - fd_step
-            wm = safe_objective(_normalize_rows(V), f"iteration {it} (fd probe)")
-            flat[k] = orig
-            g[k] = (wp - wm) / (2 * fd_step)
-        grad -= (np.sum(grad * V, axis=1, keepdims=True)) * V
-
         accepted = False
         while step >= min_step:
             V_try = _normalize_rows(V + step * grad)
@@ -276,13 +326,14 @@ def optimize_width(d: int, init="random", *, max_iter: int = 1000,
                 break
             step /= 2.0
         if not accepted:
-            trace.append(make_state(V, w, it, step, True))
+            trace.append(make_state(V, w, grad, it, step, True))
             break
         improvement = w_try - w
         V, w = V_try, w_try
+        grad = checked(gradient, V, f"iteration {it}")
         step = min(step * 1.5, 10.0 * step0)
         converged = improvement < tol
-        trace.append(make_state(V, w, it, step, converged))
+        trace.append(make_state(V, w, grad, it, step, converged))
         if converged:
             break
     return trace

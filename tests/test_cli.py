@@ -169,6 +169,12 @@ class TestOptimizeCommand:
         out = json.loads(capsys.readouterr().out)
         assert abs(out["width"] - regular_tetrahedron_width()) < 1e-9
 
+    def test_summary_reports_grad_norm(self, regular3, capsys):
+        assert main(["optimize", "-d", "3", "--init", regular3,
+                     "--max-iter", "3"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert 0.0 <= out["grad_norm"] < 1e-9
+
 
 class TestSelftestCommand:
     def test_passes(self, capsys):

@@ -4,10 +4,11 @@ projected gradient ascent toward the regular simplex."""
 import numpy as np
 import pytest
 
-from mwkit import (InscribedSimplex, WidthEstimate, mean_width_exact3d,
-                   mean_width_mat, mean_width_mc, optimize_width,
-                   random_simplex, regular_simplex, regular_tetrahedron_width,
-                   regularity_metric, support_function)
+from mwkit import (DegeneracyError, InscribedSimplex, WidthEstimate,
+                   mean_width_exact3d, mean_width_mat, mean_width_mc,
+                   optimize_width, random_simplex, regular_simplex,
+                   regular_tetrahedron_width, regularity_metric,
+                   support_function, width)
 
 CLOSED_FORM = (6.0 / np.pi) * np.arccos(1.0 / np.sqrt(3.0)) * np.sqrt(2.0 / 3.0)
 
@@ -134,3 +135,76 @@ class TestOptimizer:
     def test_init_dimension_check(self):
         with pytest.raises(ValueError):
             optimize_width(3, regular_simplex(4))
+
+    def test_grad_norm_vanishes_at_the_maximizer(self):
+        trace = optimize_width(3, "random", seed=12, max_iter=400)
+        assert trace[0].grad_norm > 1e-3
+        assert trace[-1].grad_norm < 1e-4
+        warm = optimize_width(3, regular_simplex(3), max_iter=5)
+        assert warm[0].grad_norm < 1e-12
+
+
+def central_difference(f, V, h=1e-6):
+    """Central differences of f(normalized rows of V), one coordinate at a
+    time: the tangential gradient at a simplex on the sphere."""
+    G = np.zeros_like(V)
+    for idx in np.ndindex(V.shape):
+        for sign in (1.0, -1.0):
+            W = V.copy()
+            W[idx] += sign * h
+            G[idx] += sign * f(W / np.linalg.norm(W, axis=1, keepdims=True))
+    return G / (2.0 * h)
+
+
+class TestGradient:
+    def test_exact3d_matches_finite_differences(self):
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            V = random_simplex(3, rng).vertices
+            G = width._exact3d_gradient(V)
+            G_fd = central_difference(width._exact3d_value, V)
+            assert np.max(np.abs(G - G_fd)) < 1e-7
+
+    def test_tangent_and_zero_at_regular(self):
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            V = random_simplex(3, rng).vertices
+            G = width._exact3d_gradient(V)
+            assert np.max(np.abs(np.sum(G * V, axis=1))) < 1e-14
+            assert np.linalg.norm(G) > 1e-6
+        G = width._exact3d_gradient(regular_simplex(3).vertices)
+        assert np.max(np.abs(G)) < 1e-12
+
+    @pytest.mark.parametrize("d", [4, 5])
+    def test_mc_matches_finite_differences_of_the_same_seed(self, d):
+        rng = np.random.default_rng(22 + d)
+        V = random_simplex(d, rng).vertices
+        n, seed = 20_000, 5
+
+        def objective(W):
+            return mean_width_mc(InscribedSimplex(W), n, seed).value
+
+        _, G = width._mc_width_and_gradient(V, n, seed)
+        assert np.max(np.abs(np.sum(G * V, axis=1))) < 1e-14
+        assert np.max(np.abs(G - central_difference(objective, V))) < 1e-8
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_shared_sampler_value_is_bitwise_mean_width_mc(self, d, monkeypatch):
+        monkeypatch.setattr(width, "_MC_BATCH", 1_000)  # several batches
+        V = random_simplex(d, np.random.default_rng(30 + d)).vertices
+        value, _ = width._mc_width_and_gradient(V, 2_500, 9)
+        assert value == mean_width_mc(InscribedSimplex(V), 2_500, 9).value
+
+    def test_degenerate_iterate_raises(self):
+        # four vertices on one small circle: every triple point is equidistant
+        # from all four vertices, for the gradient as for the objective
+        t = np.array([0.1, 1.7, 3.0, 4.4])
+        r = np.sqrt(0.75)
+        V = np.column_stack([r * np.cos(t), r * np.sin(t), np.full(4, 0.5)])
+        for fn in (width._exact3d_gradient, width._exact3d_value):
+            with pytest.raises(DegeneracyError):
+                fn(V)
+        antipodal = InscribedSimplex(np.array(
+            [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        with pytest.raises(DegeneracyError, match="objective failed"):
+            optimize_width(3, antipodal, max_iter=5)
