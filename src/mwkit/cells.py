@@ -3,22 +3,25 @@
 The subset-lattice correspondence drives everything: faces of the Voronoi
 complex correspond to nonempty vertex subsets of size 1..d, maximal chains
 index path simplices (orthoschemes), and each cell splits into d! signed
-path simplices by recursive altitude dropping.  Dimension 3 gets a fast
-vectorized path producing the complex of 24 right triangles with its
-angle-sum audit.
+path simplices by recursive altitude dropping.  One table per simplex holds
+the face point of every subset and the side tests that orient it and sign
+the chains; the chain pieces, the d = 3 complex of 24 right triangles with
+its angle-sum audit, and the feasibility check all read from it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEGENERACY_EPS, GLOBAL_EPS, INGEST_NORM_TOL
 from .measures import HalfspaceCell
-from .sphere import arc_length, vertex_angle
+from .sphere import vertex_angle
 
 __all__ = [
     "DegeneracyError",
@@ -71,6 +74,11 @@ class InscribedSimplex:
     def d(self) -> int:
         return self.vertices.shape[1]
 
+    @cached_property
+    def _faces(self) -> "_Faces":
+        # one table per simplex, shared by every face-point and chain query
+        return _face_table(self.vertices)
+
 
 def random_simplex(d: int, rng: np.random.Generator,
                    feasible: bool = False, max_tries: int = 10_000) -> InscribedSimplex:
@@ -116,29 +124,94 @@ def voronoi_cells(S: InscribedSimplex) -> list[VoronoiCell]:
     return cells
 
 
-def equidistant_point(S: InscribedSimplex, subset) -> np.ndarray:
-    """The face point p(F): unit vector equidistant from the subset's vertices,
-    closest to them in arclength.
+class _Faces(NamedTuple):
+    """Face points of every vertex subset Q with 1 <= |Q| <= d, indexed by the
+    bitmask of Q (rows of the empty and the full set are NaN)."""
 
-    Computed by projecting a member vertex onto the subspace orthogonal to the
-    pairwise differences and normalizing.
+    points: np.ndarray  # (2^(d+1), d): oriented face point p(Q)
+    side: np.ndarray    # (2^(d+1), d+1): p(Q).(v_q - v_x)/|v_q - v_x|, NaN for x in Q
+
+
+@lru_cache(maxsize=None)
+def _subsets(n: int):
+    """Per size k = 1..n-1: bitmasks of the k-subsets of range(n), their
+    members in ascending order, and their membership rows."""
+    out = []
+    for k in range(1, n):
+        members = np.array(list(itertools.combinations(range(n), k)))
+        masks = np.sum(1 << members, axis=1)
+        out.append((masks, members, (masks[:, None] >> np.arange(n)) & 1 == 1))
+    return tuple(out)
+
+
+def _face_table(V: np.ndarray) -> _Faces:
+    """Every face point of the simplex with vertex rows V, oriented by one
+    closeness test.
+
+    p(Q) is the unit vector of span(V_Q) equidistant from the vertices of Q,
+    normalize(V_Q^t (V_Q V_Q^t)^-1 1) (v_q itself when Q = {q}).  It is
+    replaced by its antipode exactly when every vertex outside Q is nearer to
+    it than Q is, i.e. side[Q, x] < 0 for all x outside Q.  For |Q| = d this
+    is the cell-membership sign of the complex vertex.  For smaller Q it is
+    the altitude-foot choice of ``_choose_foot``: the coefficient of the
+    corner p(all but y) in p(Q) has the sign of side[Q, y], because that
+    corner is equidistant from v_q and every v_x with x != y.  The sign of a
+    maximal chain Q_1 < ... < Q_d is the product of side[Q_k, x] over its
+    levels, with x the vertex Q_{k+1} adds.
     """
-    idx = sorted(set(int(i) for i in subset))
+    n, d = V.shape
+    points = np.full((1 << n, d), np.nan)
+    side = np.full((1 << n, n), np.nan)
+    dist = np.linalg.norm(V[:, None] - V[None], axis=2)
+    np.fill_diagonal(dist, 1.0)
+    for masks, members, inside in _subsets(n):
+        VQ = V[members]
+        if members.shape[1] == 1:
+            p = VQ[:, 0]
+        else:
+            G = VQ @ VQ.transpose(0, 2, 1)
+            try:
+                c = np.linalg.solve(G, np.ones((*G.shape[:2], 1)))
+            except np.linalg.LinAlgError:
+                raise DegeneracyError("vertex subset is linearly dependent") from None
+            x = np.einsum("mk,mkd->md", c[..., 0], VQ)
+            xn = np.linalg.norm(x, axis=1)
+            # 1/|x| is the distance from the origin to the affine hull of V_Q
+            if not np.all(xn * DEGENERACY_EPS < 1.0):
+                raise DegeneracyError("equidistance subspace orthogonal to the vertices")
+            p = x / xn[:, None]
+        q = members[:, 0]
+        D = (np.einsum("md,md->m", p, V[q])[:, None] - p @ V.T) / dist[q]
+        D[inside] = np.nan
+        if not np.all(np.abs(D[~inside]) >= DEGENERACY_EPS):
+            raise DegeneracyError("face point equidistant from a vertex outside its subset")
+        s = np.where(np.all((D < 0) | inside, axis=1), -1.0, 1.0)[:, None]
+        points[masks] = s * p
+        side[masks] = s * D
+    return _Faces(points, side)
+
+
+def _top_masks(n: int) -> np.ndarray:
+    """Bitmasks of the size-(n-1) subsets of range(n); entry x excludes x."""
+    return ((1 << n) - 1) ^ (1 << np.arange(n))
+
+
+def _subset_mask(S: InscribedSimplex, subset) -> int:
+    idx = set(int(i) for i in subset)
     if not (1 <= len(idx) <= S.d):
         raise ValueError("subset size must be between 1 and d")
-    if any(i < 0 or i > S.d for i in idx):
+    if not idx <= set(range(S.d + 1)):
         raise ValueError("subset indices out of range")
-    v0 = S.vertices[idx[0]]
-    if len(idx) == 1:
-        return v0.copy()
-    diffs = S.vertices[idx[1:]] - v0
-    _, _, vt = np.linalg.svd(diffs, full_matrices=False)
-    B = vt[: len(idx) - 1]  # orthonormal basis of the difference span
-    p = v0 - B.T @ (B @ v0)
-    n = np.linalg.norm(p)
-    if n < GLOBAL_EPS:
-        raise DegeneracyError("equidistance subspace orthogonal to the vertex")
-    return p / n
+    return sum(1 << i for i in idx)
+
+
+def equidistant_point(S: InscribedSimplex, subset) -> np.ndarray:
+    """The face point p(F): unit vector equidistant from the subset's vertices,
+    closest to them in arclength."""
+    mask = _subset_mask(S, subset)
+    p = S._faces.points[mask]
+    q = (mask & -mask).bit_length() - 1  # a member of the subset
+    return p.copy() if p @ S.vertices[q] > 0 else -p
 
 
 def cell_vertex(S: InscribedSimplex, subset) -> np.ndarray:
@@ -149,15 +222,10 @@ def cell_vertex(S: InscribedSimplex, subset) -> np.ndarray:
     picks the antipode of the closest equidistant point whenever the excluded
     vertex is nearer than the subset.
     """
-    idx = sorted(set(int(i) for i in subset))
-    if len(idx) != S.d:
+    mask = _subset_mask(S, subset)
+    if mask.bit_count() != S.d:
         raise ValueError("cell vertices correspond to subsets of size d")
-    (excl,) = set(range(S.d + 1)) - set(idx)
-    q = equidistant_point(S, idx)
-    s = np.dot(q, S.vertices[idx[0]] - S.vertices[excl])
-    if abs(s) < DEGENERACY_EPS:
-        raise DegeneracyError("complex vertex equidistant from all d+1 vertices")
-    return q if s > 0 else -q
+    return S._faces.points[mask].copy()
 
 
 def maximal_chains(d: int) -> list[tuple[frozenset, ...]]:
@@ -310,128 +378,61 @@ def path_simplex_from_chain(S: InscribedSimplex, chain) -> SignedPathSimplex:
     for small, big in zip(chain, chain[1:]):
         if not small < big:
             raise ValueError("chain must be strictly increasing under inclusion")
-    # faces of size < d are iterated altitude feet with the foot chosen away
-    # from the antipode of the complex face; the top face of size d is a
-    # complex vertex, whose sign is fixed by cell membership instead
-    all_idx = frozenset(range(d + 1))
-    pts = [S.vertices[next(iter(chain[0]))].copy()]
-    for Q in chain[1:-1]:
-        corners = np.array([
-            cell_vertex(S, Q | frozenset(extra))
-            for extra in itertools.combinations(sorted(all_idx - Q), d - len(Q))
-        ])
-        pts.append(_choose_foot(equidistant_point(S, Q), corners))
-    pts.append(cell_vertex(S, chain[-1]))
-    sign = 1
-    for lvl in range(d - 1):
-        Q_next = chain[lvl + 1]
-        (x,) = Q_next - chain[lvl]
-        # corners of the complex face for Q_next: size-d supersets
-        facet_pts = [cell_vertex(S, Q_next | frozenset(extra))
-                     for extra in itertools.combinations(sorted(all_idx - Q_next),
-                                                         d - len(Q_next))]
-        opp = cell_vertex(S, all_idx - {x})
-        F = np.array(facet_pts)
-        Q_basis, _ = np.linalg.qr(F.T)
-        nvec = opp - Q_basis @ (Q_basis.T @ opp)
-        nn = np.linalg.norm(nvec)
-        if nn < DEGENERACY_EPS:
-            raise DegeneracyError("opposite face point lies in the facet span")
-        sign *= _side_sign(np.dot(nvec / nn, pts[lvl]), "chain point on a facet span")
-    return SignedPathSimplex(np.array(pts), sign, chain=chain)
+    if not chain[-1] <= frozenset(range(d + 1)):
+        raise ValueError("chain indices out of range")
+    order = [*chain[0]] + [x for small, big in zip(chain, chain[1:]) for x in big - small]
+    pts, sign = _chain_path(S._faces, order)
+    return SignedPathSimplex(pts, sign, chain=chain)
+
+
+def _chain_path(faces: _Faces, order) -> tuple[np.ndarray, int]:
+    """Path vertices p(Q_1)..p(Q_d) and sign of the chain Q_k = order[:k].
+
+    The sign multiplies side[Q_k, x] over the levels, x = order[k] the vertex
+    the next subset adds; the first level is always positive.
+    """
+    order = np.asarray(order)
+    masks = np.cumsum(1 << order)
+    sign = np.prod(np.sign(faces.side[masks[:-1], order[1:]]))
+    return faces.points[masks], int(sign)
 
 
 # ---------------------------------------------------------------------------
 # The d = 3 complex of 24 right triangles
 # ---------------------------------------------------------------------------
 
-# static index tables for the 24 records (cell i, neighbor j, endpoint c)
+# static index tables for the 24 records (cell i, neighbor j, endpoint c):
+# the triangle (v_i, m_ij, q_c) of the chain {i} < {i, j} < {i, j, c2}
 _OTH = [tuple(x for x in range(4) if x != l) for l in range(4)]
-_PAIRS = list(itertools.combinations(range(4), 2))
-_PAIR_IDX = {p: k for k, p in enumerate(_PAIRS)}
-
-_REC = []
-for _i in range(4):
-    for _j in range(4):
-        if _j == _i:
-            continue
-        for _c in range(4):
-            if _c in (_i, _j):
-                continue
-            _c2 = next(x for x in range(4) if x not in (_i, _j, _c))
-            _REC.append((_i, _j, _c, _c2, _PAIR_IDX[tuple(sorted((_i, _j)))]))
-_R_I = np.array([r[0] for r in _REC])
-_R_J = np.array([r[1] for r in _REC])
-_R_C = np.array([r[2] for r in _REC])
-_R_C2 = np.array([r[3] for r in _REC])
-_R_P = np.array([r[4] for r in _REC])
-_PAIR_A = np.array([p[0] for p in _PAIRS])
-_PAIR_B = np.array([p[1] for p in _PAIRS])
+_R_I, _R_J, _R_C = np.array(list(itertools.permutations(range(4), 3))).T
+_R_C2 = 6 - _R_I - _R_J - _R_C
+_R_PAIR = (1 << _R_I) | (1 << _R_J)
+_PAIR_A, _PAIR_B = np.array(list(itertools.combinations(range(4), 2))).T
 # the two indices outside each pair: the complex face of pair (i, j) is the
 # arc between the triple points q_k, k not in {i, j}
-_PAIR_OTH = np.array([[x for x in range(4) if x not in p] for p in _PAIRS])
-
-
-def _triple_points(V: np.ndarray) -> np.ndarray:
-    """q[l]: the complex vertex of the vertex triple excluding l (d = 3).
-
-    Sign chosen by cell membership, q . (v_a - v_l) > 0, not by closeness to
-    the triple: when the excluded vertex beats the triple the complex vertex
-    sits at the antipode of the nearest equidistant point.
-    """
-    q = np.empty((4, 3))
-    for l in range(4):
-        a_, b_, c_ = _OTH[l]
-        n = np.cross(V[a_] - V[b_], V[a_] - V[c_])
-        nn = np.linalg.norm(n)
-        if nn < DEGENERACY_EPS:
-            raise DegeneracyError("three vertices on a common great circle")
-        n = n / nn
-        s = np.dot(n, V[a_] - V[l])
-        if abs(s) < DEGENERACY_EPS:
-            raise DegeneracyError("complex vertex equidistant from all four vertices")
-        q[l] = n if s > 0 else -n
-    return q
+_PAIR_OTH = np.array([[x for x in range(4) if x not in p] for p in zip(_PAIR_A, _PAIR_B)])
+# bitmasks of the four triples: q_l excludes vertex l
+_TRIPLE_MASK = _top_masks(4)
 
 
 def _complex24_core(V: np.ndarray):
     """Vectorized 24-triangle complex of a d=3 inscribed simplex.
 
-    Returns (sigma, a, b, q, mids) with, per record, the decomposition sign,
-    the leg a = arc(m_ij, q_c) opposite the apex v_i, and the leg
-    b = arc(v_i, m_ij) along the altitude.
+    Returns (sigma, a, b, q, m) with, per record, the decomposition sign,
+    the leg a = arc(m_ij, q_c) opposite the apex v_i, the leg
+    b = arc(v_i, m_ij) along the altitude, and the foot m_ij; q holds the
+    four triple points.
     """
-    q = _triple_points(V)
-    mids = V[_PAIR_A] + V[_PAIR_B]
-    mn = np.linalg.norm(mids, axis=1)
-    if np.min(mn) < DEGENERACY_EPS:
-        raise DegeneracyError("antipodal vertex pair")
-    mids /= mn[:, None]
-    # foot choice: the shared altitude foot of pair (i, j) must avoid the
-    # antipode of the complex face arc between its two triple points
-    for t in range(6):
-        mids[t] = _choose_foot(mids[t], q[_PAIR_OTH[t]])
-
-    vi = V[_R_I]
-    m = mids[_R_P]
-    qc = q[_R_C]
-    qc2 = q[_R_C2]
-    # side test 1: opposite cell vertex q_j versus the bisector plane of (i, j);
-    # v_i is always on the positive side
-    t1 = np.einsum("kd,kd->k", q[_R_J], V[_R_I] - V[_R_J])
-    # side test 2: within the bisector plane, m_ij versus span{q_c}, with the
-    # other endpoint q_c2 on the positive side
-    n2 = qc2 - np.einsum("kd,kd->k", qc2, qc)[:, None] * qc
-    t2 = np.einsum("kd,kd->k", n2, m)
-    if np.min(np.abs(t1)) < DEGENERACY_EPS or np.min(np.abs(t2)) < DEGENERACY_EPS:
-        raise DegeneracyError("altitude foot on a facet boundary")
-    sigma = np.sign(t1) * np.sign(t2)
-
-    b = np.arccos(np.clip(np.einsum("kd,kd->k", vi, m), -1.0, 1.0))
-    a = np.arccos(np.clip(np.einsum("kd,kd->k", m, qc), -1.0, 1.0))
+    faces = _face_table(V)
+    q = faces.points[_TRIPLE_MASK]
+    m = faces.points[_R_PAIR]
+    # the chain sign: the side of m_ij between v_i and v_c2
+    sigma = np.sign(faces.side[_R_PAIR, _R_C2])
+    b = np.arccos(np.clip(np.einsum("kd,kd->k", V[_R_I], m), -1.0, 1.0))
+    a = np.arccos(np.clip(np.einsum("kd,kd->k", m, q[_R_C]), -1.0, 1.0))
     if np.min(a) < DEGENERACY_EPS or np.min(b) < DEGENERACY_EPS:
         raise DegeneracyError("degenerate right triangle in the complex")
-    return sigma, a, b, q, mids
+    return sigma, a, b, q, m
 
 
 def _angles_between(at: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -486,18 +487,17 @@ def right_triangle_complex(S: InscribedSimplex, tol: float = 1e-9):
     if S.d != 3:
         raise ValueError("the 24-triangle complex is a d = 3 construction")
     V = S.vertices
-    sigma, a, b, q, mids = _complex24_core(V)
+    sigma, a, b, q, m = _complex24_core(V)
 
     vi = V[_R_I]
-    m = mids[_R_P]
     qc = q[_R_C]
     ang_vertex = _angles_between(vi, m, qc)
     ang_right = _angles_between(m, vi, qc)
     ang_other = _angles_between(qc, m, vi)
 
     triangles = [
-        SignedPathSimplex(np.array([V[i], mids[p], q[c]]), int(s))
-        for i, p, c, s in zip(_R_I, _R_P, _R_C, sigma.astype(int))
+        SignedPathSimplex(np.array([V[i], m_k, q[c]]), int(s))
+        for i, m_k, c, s in zip(_R_I, m, _R_C, sigma.astype(int))
     ]
 
     vertex_sums = np.zeros(4)
@@ -559,29 +559,23 @@ class FeasibilityReport:
         return self.origin_in_hull and self.vertices_on_sphere and self.hemisphere_cover
 
 
-def feasibility_checks(S: InscribedSimplex, n_samples: int = 100_000,
-                       seed: int = 0) -> FeasibilityReport:
+def feasibility_checks(S: InscribedSimplex) -> FeasibilityReport:
     """Necessary conditions for a mean-width maximizer: origin in the hull,
     vertices on the sphere, and the closed hemispheres at the vertices
-    covering the sphere (checked at sampled points and at all cell vertices).
+    covering the sphere.
+
+    The cover is decided exactly at the complex vertices p(Q), |Q| = d.  The
+    cells tile the sphere, cell i is the cone generated by its d complex
+    vertices q, and u . v_i is linear, so u . v_i >= 0 on the whole cell once
+    q . v_i >= 0 at every generator.  By Gordan's theorem the cover holds
+    exactly when the origin is in the hull.
     """
     V = S.vertices
     d = S.d
     in_hull = _origin_in_hull(V)
     on_sphere = bool(np.max(np.abs(np.linalg.norm(V, axis=1) - 1.0))
                      <= INGEST_NORM_TOL)
-
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal((n_samples, d))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    cover = bool(np.min(np.max(u @ V.T, axis=1)) >= 0.0)
-    if cover:
-        # exact check at the complex vertices, |F| = d, where the min of the
-        # max marginal is attained
-        for subset in itertools.combinations(range(d + 1), d):
-            p = cell_vertex(S, subset)
-            if np.max(p @ V.T) < -GLOBAL_EPS:
-                cover = False
-                break
+    corners = S._faces.points[_top_masks(d + 1)]
+    cover = bool(np.min(np.max(corners @ V.T, axis=1)) >= -GLOBAL_EPS)
     return FeasibilityReport(origin_in_hull=in_hull, vertices_on_sphere=on_sphere,
                              hemisphere_cover=cover)

@@ -1,8 +1,9 @@
 """Command-line interface: width evaluation, decompositions, Hessian scans,
 optimization, and a cross-module self-test.
 
-Exit codes: 0 ok, 1 self-test failure, 2 bad method/dimension, 3 infeasible
-simplex, 4 degeneracy, 5 I/O error.
+Exit codes: 0 ok, 1 self-test failure, 2 bad method/dimension (also a method
+that cannot evaluate this input, e.g. ``width --method mat`` on a piece too
+thin for its sampler), 3 infeasible simplex, 4 degeneracy, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -15,15 +16,13 @@ import sys
 
 import numpy as np
 
-from .cells import (DegeneracyError, InscribedSimplex, cell_vertex,
-                    decompose_simplex, feasibility_checks, gram_matrix,
-                    adjacent_dihedral_angles, maximal_chains,
+from .cells import (DegeneracyError, InscribedSimplex, feasibility_checks,
+                    gram_matrix, adjacent_dihedral_angles, maximal_chains,
                     path_simplex_from_chain, right_triangle_complex)
 from .hessian import region_scan
 from .measures import HalfspaceCell, cell_marginal_mean_MAT, wallis_complete
 from .width import (mean_width_exact3d, mean_width_mat, mean_width_mc,
-                    optimize_width, regular_simplex, regular_tetrahedron_width,
-                    regularity_metric)
+                    optimize_width, regular_simplex, regular_tetrahedron_width)
 
 _EXIT_OK = 0
 _EXIT_SELFTEST = 1
@@ -111,7 +110,7 @@ def _jiggle(S: InscribedSimplex, seed: int) -> InscribedSimplex:
 
 def cmd_width(args) -> int:
     S = load_simplex(args.simplex, args.auto_normalize)
-    report = feasibility_checks(S, seed=args.seed)
+    report = feasibility_checks(S)
     if not report.all_ok:
         print(json.dumps({
             "error": "infeasible simplex",
@@ -131,7 +130,14 @@ def cmd_width(args) -> int:
         if S.d < 3:
             print(f"error: mat needs d>=3, got d={S.d}", file=sys.stderr)
             return _EXIT_BAD_METHOD
-        est = mean_width_mat(S, args.samples, args.seed)
+        try:
+            est = mean_width_mat(S, args.samples, args.seed)
+        except DegeneracyError:
+            raise
+        except ValueError as exc:
+            # a piece too thin for the rejection sampler: mat cannot do this input
+            print(f"error: mat cannot evaluate this simplex: {exc}", file=sys.stderr)
+            return _EXIT_BAD_METHOD
     else:
         print(f"error: unknown method {args.method}", file=sys.stderr)
         return _EXIT_BAD_METHOD

@@ -8,13 +8,13 @@ measure on S^2 (the two differ by a factor 4*pi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .config import GLOBAL_EPS
-from .sphere import arc_length, orientation, spherical_triangle_area, vertex_angle
+from .sphere import arc_length, orientation, spherical_triangle_area
 
 __all__ = [
     "wallis_complete",

@@ -7,15 +7,16 @@ route that sums cell marginal means over the signed path-simplex complex.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .cells import (_PAIR_A, _PAIR_B, _PAIR_OTH, DegeneracyError,
-                    InscribedSimplex, _complex24_core, _triple_points,
-                    cell_vertex, decompose_simplex)
+from .cells import (_PAIR_A, _PAIR_B, _PAIR_OTH, _TRIPLE_MASK, DegeneracyError,
+                    InscribedSimplex, _chain_path, _complex24_core, _face_table)
+from .cells import cell_vertex  # noqa: F401  the benchmark's trace test wraps it
 from .measures import HalfspaceCell, cell_marginal_mean_MAT
 
 __all__ = [
@@ -132,7 +133,7 @@ def _exact3d_gradient(V: np.ndarray) -> np.ndarray:
     grad_i w = (1/4pi) sum_j l_ij (v_i - v_j)/|v_i - v_j| with
     l_ij = arc(q_k, q_l).
     """
-    q = _triple_points(V)
+    q = _face_table(V).points[_TRIPLE_MASK]
     cos_ell = np.einsum("kd,kd->k", q[_PAIR_OTH[:, 0]], q[_PAIR_OTH[:, 1]])
     ell = np.arccos(np.clip(cos_ell, -1.0, 1.0))
     diff = V[_PAIR_A] - V[_PAIR_B]
@@ -173,9 +174,13 @@ def _rotation_to_e1(v: np.ndarray) -> np.ndarray:
 def mean_width_mat(S: InscribedSimplex, n: int, seed: int) -> WidthEstimate:
     """Mean width by the reduced-integral marginal means.
 
-    Each Voronoi cell is decomposed into d! signed path simplices with end
-    vertex v_i; each piece is rotated so v_i sits at e1 and evaluated with
-    the reduced integral; n is the sample count per piece.
+    Each Voronoi cell i is cut into the d! signed path simplices of the
+    maximal chains that start at {i}; each piece is rotated so v_i sits at e1
+    and evaluated with the reduced integral; n is the sample count per piece.
+    Piece k gets seed + k, counting cell by cell and, within a cell, in
+    lexicographic order of (x_1, ..., x_{d-2}, y), x_k the vertex added at
+    level k and y the vertex outside the top subset: the order in which
+    ``decompose_simplex`` lists a cell's pieces.
     """
     if S.d < 3:
         raise ValueError("the reduced-integral route needs d >= 3")
@@ -185,29 +190,22 @@ def mean_width_mat(S: InscribedSimplex, n: int, seed: int) -> WidthEstimate:
     var = 0.0
     k = 0
     for i in range(d + 1):
-        cell_verts = np.array([
-            cell_vertex(S, subset)
-            for subset in _size_d_subsets_containing(d, i)
-        ])
+        others = [j for j in range(d + 1) if j != i]
         rot = _rotation_to_e1(V[i])
-        for piece in decompose_simplex(cell_verts, V[i]):
-            P = piece.vertices @ rot.T  # rotated path vertices, first is e1
+        for *xs, y in itertools.permutations(others, d - 1):
+            (last,) = set(others).difference(xs, (y,))
+            path, sign = _chain_path(S._faces, [i, *xs, last])
+            P = path @ rot.T  # rotated path vertices, first is e1
             N = np.linalg.inv(P.T)
             N /= np.linalg.norm(N, axis=1, keepdims=True)
             try:
                 mm = cell_marginal_mean_MAT(HalfspaceCell(N), n, seed + k)
             except ValueError as exc:
                 raise ValueError(f"cell {i}: {exc}") from exc
-            total += piece.sign * mm.value
+            total += sign * mm.value
             var += mm.std_error ** 2
             k += 1
     return WidthEstimate(2.0 * total, 2.0 * math.sqrt(var), "mat_quadrature")
-
-
-def _size_d_subsets_containing(d: int, i: int):
-    rest = [j for j in range(d + 1) if j != i]
-    for skip in range(d):
-        yield tuple([i] + rest[:skip] + rest[skip + 1:])
 
 
 def regular_simplex(d: int) -> InscribedSimplex:

@@ -148,6 +148,20 @@ class TestDecomposeSimplex:
             assert np.all(th > 0) and np.all(th < np.pi)
 
 
+def cell_pieces(S):
+    """Per-cell altitude decompositions: decompose_simplex on each cell's
+    complex vertices with end vertex v_i."""
+    d = S.d
+    pieces = []
+    for i in range(d + 1):
+        corners = np.array([
+            cell_vertex(S, tuple(sorted((i,) + rest)))
+            for rest in itertools.combinations([j for j in range(d + 1) if j != i], d - 1)
+        ])
+        pieces += decompose_simplex(corners, S.vertices[i])
+    return pieces
+
+
 class TestChainConsistency:
     def test_matches_cell_decomposition_d3(self):
         # chain-built path simplices = union of per-cell decompositions
@@ -160,17 +174,53 @@ class TestChainConsistency:
             from_chains[key] = P.sign
 
         from_cells = {}
-        for i in range(4):
-            corners = np.array([
-                cell_vertex(S, tuple(sorted((i,) + rest)))
-                for rest in itertools.combinations([j for j in range(4) if j != i], 2)
-            ])
-            for p in decompose_simplex(corners, S.vertices[i]):
-                key = tuple(np.round(p.vertices, 8).ravel())
-                from_cells[key] = p.sign
+        for p in cell_pieces(S):
+            key = tuple(np.round(p.vertices, 8).ravel())
+            from_cells[key] = p.sign
 
         assert set(from_chains) == set(from_cells)
         assert all(from_chains[k] == from_cells[k] for k in from_chains)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("feasible", [True, False])
+    def test_matches_cell_decomposition(self, d, feasible):
+        # the face table's chain pieces are the generic engine's pieces, sign
+        # for sign, with and without the hemisphere cover (without it, some
+        # altitude feet sit at the antipode of the nearest equidistant point)
+        rng = np.random.default_rng(80 + d)
+        for _ in range(4):
+            S = random_simplex(d, rng, feasible=feasible)
+            while not feasible and feasibility_checks(S).origin_in_hull:
+                S = random_simplex(d, rng)
+            chains = [path_simplex_from_chain(S, c) for c in maximal_chains(d)]
+            cells = cell_pieces(S)
+            assert len(chains) == len(cells) == math.factorial(d + 1)
+            B = np.array([p.vertices for p in cells])
+            matched = []
+            for P in chains:
+                gap = np.max(np.abs(B - P.vertices), axis=(1, 2))
+                k = int(np.argmin(gap))
+                assert gap[k] < 1e-9
+                assert P.sign == cells[k].sign
+                matched.append(k)
+            assert sorted(matched) == list(range(len(cells)))
+
+    def test_complex24_is_the_chain_decomposition(self):
+        # the vectorized d = 3 complex: same 24 triangles and signs as the chains
+        rng = np.random.default_rng(81)
+        for feasible in (True, False) * 10:
+            S = random_simplex(3, rng, feasible=feasible)
+            triangles, _ = right_triangle_complex(S)
+            T = np.array([t.vertices for t in triangles])
+            matched = []
+            for chain in maximal_chains(3):
+                P = path_simplex_from_chain(S, chain)
+                gap = np.max(np.abs(T - P.vertices), axis=(1, 2))
+                k = int(np.argmin(gap))
+                assert gap[k] < 1e-12
+                assert P.sign == triangles[k].sign
+                matched.append(k)
+            assert sorted(matched) == list(range(24))
 
 
 class TestRightTriangleComplex:
@@ -233,3 +283,19 @@ class TestFeasibility:
         assert not rep.origin_in_hull
         assert not rep.hemisphere_cover
         assert rep.vertices_on_sphere
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_cover_is_origin_in_hull(self, d):
+        # Gordan: the closed hemispheres cover the sphere exactly when the
+        # origin is in the hull; a densely sampled uncovered point must agree
+        rng = np.random.default_rng(20 + d)
+        u = sample_sphere(rng, 20_000, d)
+        seen = set()
+        for k in range(200):
+            S = random_simplex(d, rng, feasible=k % 2 == 0)
+            rep = feasibility_checks(S)
+            assert rep.hemisphere_cover == rep.origin_in_hull
+            if np.min(np.max(u @ S.vertices.T, axis=1)) < 0.0:
+                assert not rep.hemisphere_cover
+            seen.add(rep.hemisphere_cover)
+        assert seen == {True, False}

@@ -1,7 +1,8 @@
 """Command-line interface: subcommands, file formats, and exit codes.
 
-Exit code contract: 0 ok, 1 self-test failure, 2 bad method/dimension,
-3 infeasible simplex, 4 degeneracy, 5 I/O error.
+Exit code contract: 0 ok, 1 self-test failure, 2 bad method/dimension (or
+a method that cannot evaluate this input), 3 infeasible simplex,
+4 degeneracy, 5 I/O error.
 """
 
 import json
@@ -9,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from mwkit.cells import random_simplex
 from mwkit.cli import main, load_simplex, simplex_to_document
 from mwkit.width import regular_simplex, regular_tetrahedron_width
 
@@ -82,6 +84,15 @@ class TestWidthCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["error"] == "infeasible simplex"
         assert not out["hemisphere_cover"]
+
+    def test_mat_on_a_piece_too_thin_to_sample(self, tmp_path, capsys):
+        # a feasible 4-simplex with an orthoscheme piece that 2000 samples miss
+        S = random_simplex(4, np.random.default_rng(3), feasible=True)
+        path = write_simplex(tmp_path / "thin.json", S)
+        assert main(["width", path, "--method", "mat", "--samples", "2000"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "too thin" in err[0]
 
     def test_out_file(self, regular3, tmp_path):
         dest = tmp_path / "w.json"

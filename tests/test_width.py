@@ -4,11 +4,12 @@ projected gradient ascent toward the regular simplex."""
 import numpy as np
 import pytest
 
-from mwkit import (DegeneracyError, InscribedSimplex, WidthEstimate,
-                   mean_width_exact3d, mean_width_mat, mean_width_mc,
-                   optimize_width, random_simplex, regular_simplex,
-                   regular_tetrahedron_width, regularity_metric,
-                   support_function, width)
+from mwkit import (DegeneracyError, HalfspaceCell, InscribedSimplex,
+                   WidthEstimate, cell_marginal_mean_MAT, cell_vertex,
+                   decompose_simplex, mean_width_exact3d, mean_width_mat,
+                   mean_width_mc, optimize_width, random_simplex,
+                   regular_simplex, regular_tetrahedron_width,
+                   regularity_metric, support_function, width)
 
 CLOSED_FORM = (6.0 / np.pi) * np.arccos(1.0 / np.sqrt(3.0)) * np.sqrt(2.0 / 3.0)
 
@@ -99,6 +100,32 @@ class TestMatRoute:
         est = mean_width_mat(S, 30_000, seed=6)
         mc = mean_width_mc(S, 400_000, seed=7)
         assert abs(est.value - mc.value) < 4 * np.hypot(est.std_error, mc.std_error)
+
+    @pytest.mark.parametrize("S", [regular_simplex(3),
+                                   random_simplex(3, np.random.default_rng(12), feasible=True),
+                                   regular_simplex(4)],
+                             ids=["regular3", "random3", "regular4"])
+    def test_same_pieces_and_seeds_as_the_cell_recursion(self, S):
+        # reference: cut each cell with decompose_simplex and give its k-th
+        # piece, counting over the cells in turn, the seed seed + k
+        n, seed = 5_000, 17
+        d, V = S.d, S.vertices
+        total, var, k = 0.0, 0.0, 0
+        for i in range(d + 1):
+            rest = [j for j in range(d + 1) if j != i]
+            corners = np.array([cell_vertex(S, [i] + rest[:s] + rest[s + 1:])
+                                for s in range(d)])
+            rot = width._rotation_to_e1(V[i])
+            for piece in decompose_simplex(corners, V[i]):
+                N = np.linalg.inv((piece.vertices @ rot.T).T)
+                N /= np.linalg.norm(N, axis=1, keepdims=True)
+                mm = cell_marginal_mean_MAT(HalfspaceCell(N), n, seed + k)
+                total += piece.sign * mm.value
+                var += mm.std_error ** 2
+                k += 1
+        est = mean_width_mat(S, n, seed)
+        assert abs(est.value - 2.0 * total) < 1e-12
+        assert abs(est.std_error - 2.0 * np.sqrt(var)) < 1e-12
 
 
 class TestRegularSimplex:
