@@ -1,8 +1,9 @@
 """Command-line interface: width evaluation, decompositions, Hessian scans,
 optimization, and a cross-module self-test.
 
-Exit codes: 0 ok, 1 self-test failure, 2 bad method/dimension (also a method
-that cannot evaluate this input, e.g. ``width --method mat`` on a piece too
+Exit codes: 0 ok, 1 self-test failure, 2 bad method/dimension or an
+out-of-range count (``--grid``, ``--restarts``, ``--samples``), also a method
+that cannot evaluate this input (e.g. ``width --method mat`` on a piece too
 thin for its sampler), 3 infeasible simplex, 4 degeneracy, 5 I/O error.
 """
 
@@ -125,6 +126,9 @@ def cmd_width(args) -> int:
             return _EXIT_BAD_METHOD
         est = mean_width_exact3d(S)
     elif args.method == "mc":
+        if args.samples < 1:
+            print("error: --samples must be >= 1", file=sys.stderr)
+            return _EXIT_BAD_METHOD
         est = mean_width_mc(S, args.samples, args.seed)
     elif args.method == "mat":
         if S.d < 3:
@@ -220,6 +224,9 @@ def cmd_hessian(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    if args.restarts < 1:
+        print("error: --restarts must be >= 1", file=sys.stderr)
+        return _EXIT_BAD_METHOD
     best = None
     if args.init:
         init = load_simplex(args.init, args.auto_normalize)
@@ -269,6 +276,9 @@ def _octant_cell() -> HalfspaceCell:
 
 
 def cmd_selftest(args) -> int:
+    if args.samples < 1:
+        print("error: --samples must be >= 1", file=sys.stderr)
+        return _EXIT_BAD_METHOD
     failures = []
 
     # Wallis product and bounds

@@ -14,8 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cells import (_PAIR_A, _PAIR_B, _PAIR_OTH, _TRIPLE_MASK, DegeneracyError,
-                    InscribedSimplex, _chain_path, _complex24_core, _face_table)
+from .cells import (_PAIR_A, _PAIR_B, _PAIR_OTH, DegeneracyError,
+                    InscribedSimplex, _chain_path, _complex24_core)
 from .cells import cell_vertex  # noqa: F401  the benchmark's trace test wraps it
 from .measures import HalfspaceCell, cell_marginal_mean_MAT
 
@@ -111,9 +111,13 @@ def _tangent(G: np.ndarray, V: np.ndarray) -> np.ndarray:
     return G - np.sum(G * V, axis=1, keepdims=True) * V
 
 
-def _exact3d_value(V: np.ndarray) -> float:
-    sigma, a, b, _, _ = _complex24_core(V)
+def _complex24_width(sigma, a, b) -> float:
+    """w = (1/4pi) sum sigma a sin b over the 24 signed right triangles."""
     return float(np.sum(sigma * a * np.sin(b)) / (4.0 * np.pi))
+
+
+def _exact3d_value(V: np.ndarray) -> float:
+    return _complex24_width(*_complex24_core(V)[:3])
 
 
 # +1 at the first and -1 at the second vertex of each of the six pairs
@@ -122,8 +126,8 @@ _PAIR_SIGN[_PAIR_A, np.arange(6)] = 1.0
 _PAIR_SIGN[_PAIR_B, np.arange(6)] = -1.0
 
 
-def _exact3d_gradient(V: np.ndarray) -> np.ndarray:
-    """Tangential gradient of the exact d = 3 width.
+def _exact3d_width_and_gradient(V: np.ndarray):
+    """The exact d = 3 width and its tangential gradient from one complex.
 
     dw/dv_i = 2 E[u 1{u in cell i}], and by the divergence theorem on S^2 the
     integral of u over the spherical triangle of cell i is half the sum of its
@@ -133,12 +137,13 @@ def _exact3d_gradient(V: np.ndarray) -> np.ndarray:
     grad_i w = (1/4pi) sum_j l_ij (v_i - v_j)/|v_i - v_j| with
     l_ij = arc(q_k, q_l).
     """
-    q = _face_table(V).points[_TRIPLE_MASK]
+    sigma, a, b, q, _ = _complex24_core(V)
+    w = _complex24_width(sigma, a, b)
     cos_ell = np.einsum("kd,kd->k", q[_PAIR_OTH[:, 0]], q[_PAIR_OTH[:, 1]])
     ell = np.arccos(np.clip(cos_ell, -1.0, 1.0))
     diff = V[_PAIR_A] - V[_PAIR_B]
     edge = (ell / np.linalg.norm(diff, axis=1))[:, None] * diff
-    return _tangent(_PAIR_SIGN @ edge / (4.0 * np.pi), V)
+    return w, _tangent(_PAIR_SIGN @ edge / (4.0 * np.pi), V)
 
 
 def mean_width_exact3d(S: InscribedSimplex) -> WidthEstimate:
@@ -263,9 +268,11 @@ def optimize_width(d: int, init="random", *, max_iter: int = 1000,
     d = 3 uses the exact objective and its closed-form gradient from the
     Voronoi edge lengths; higher d uses common-random-numbers Monte Carlo with
     a fixed seed, so ascent decisions are stable, and the exact derivative of
-    that fixed-seed objective from the same samples.  Vertices are
-    renormalized to the sphere after every step; steps that fail to improve
-    are backtracked.  Returns the trace of accepted states.
+    that fixed-seed objective from the same samples.  Each trial point is
+    evaluated once, for the value and the gradient together; an accepted
+    trial's gradient is the next step's direction.  Vertices are renormalized
+    to the sphere after every step; steps that fail to improve are
+    backtracked.  Returns the trace of accepted states.
     """
     rng = np.random.default_rng(seed)
     if isinstance(init, InscribedSimplex):
@@ -279,25 +286,15 @@ def optimize_width(d: int, init="random", *, max_iter: int = 1000,
         raise ValueError("init must be an InscribedSimplex or 'random'")
 
     if d == 3:
-        def objective(W):
-            return _exact3d_value(W)
-        gradient = _exact3d_gradient
+        evaluate = _exact3d_width_and_gradient
         method = "exact3d"
     else:
         obj_seed = int(rng.integers(2 ** 31))
 
-        def objective(W):
-            return mean_width_mc(InscribedSimplex(W), mc_samples, obj_seed).value
-
-        def gradient(W):
-            return _mc_width_and_gradient(W, mc_samples, obj_seed)[1]
+        def evaluate(W):
+            InscribedSimplex(W)  # a degenerate trial raises and is backtracked
+            return _mc_width_and_gradient(W, mc_samples, obj_seed)
         method = "monte_carlo"
-
-    def checked(fn, W, context):
-        try:
-            return fn(W)
-        except DegeneracyError as exc:
-            raise DegeneracyError(f"objective failed at {context}: {exc}") from exc
 
     def make_state(W, w, grad, it, step, converged):
         S = InscribedSimplex(W.copy())
@@ -306,8 +303,10 @@ def optimize_width(d: int, init="random", *, max_iter: int = 1000,
             step_size=step, regularity=regularity_metric(S), converged=converged,
             grad_norm=float(np.linalg.norm(grad)))
 
-    w = checked(objective, V, "initial point")
-    grad = checked(gradient, V, "initial point")
+    try:
+        w, grad = evaluate(V)
+    except DegeneracyError as exc:
+        raise DegeneracyError(f"objective failed at initial point: {exc}") from exc
     step = step0
     trace = [make_state(V, w, grad, 0, step, False)]
 
@@ -316,7 +315,7 @@ def optimize_width(d: int, init="random", *, max_iter: int = 1000,
         while step >= min_step:
             V_try = _normalize_rows(V + step * grad)
             try:
-                w_try = objective(V_try)
+                w_try, grad_try = evaluate(V_try)
             except DegeneracyError:
                 w_try = -np.inf
             if w_try > w:
@@ -327,10 +326,9 @@ def optimize_width(d: int, init="random", *, max_iter: int = 1000,
             trace.append(make_state(V, w, grad, it, step, True))
             break
         improvement = w_try - w
-        V, w = V_try, w_try
-        grad = checked(gradient, V, f"iteration {it}")
+        V, w, grad = V_try, w_try, grad_try
         step = min(step * 1.5, 10.0 * step0)
-        converged = improvement < tol
+        converged = bool(improvement < tol)  # numpy bool in d >= 4 breaks JSON output
         trace.append(make_state(V, w, grad, it, step, converged))
         if converged:
             break

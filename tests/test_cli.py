@@ -73,6 +73,11 @@ class TestWidthCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["std_error"] > 0.0
 
+    def test_mc_without_samples(self, regular3, capsys):
+        assert main(["width", regular3, "--method", "mc", "--samples", "0"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_infeasible(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         V = rng.standard_normal((4, 3))
@@ -186,11 +191,26 @@ class TestOptimizeCommand:
         out = json.loads(capsys.readouterr().out)
         assert 0.0 <= out["grad_norm"] < 1e-9
 
+    def test_d4_summary_is_json(self, capsys):
+        assert main(["optimize", "-d", "4", "--max-iter", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["width"] > 0.0 and out["converged"] in (True, False)
+
+    def test_no_restarts(self, capsys):
+        assert main(["optimize", "-d", "3", "--restarts", "0"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
 
 class TestSelftestCommand:
     def test_passes(self, capsys):
         assert main(["selftest", "--samples", "100000"]) == 0
         assert "all checks passed" in capsys.readouterr().out
+
+    def test_without_samples(self, capsys):
+        assert main(["selftest", "--samples", "0"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_wrong_prefactor_fails(self, capsys):
         assert main(["selftest", "--samples", "100000",

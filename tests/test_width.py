@@ -1,6 +1,8 @@
 """Mean-width evaluation (exact d=3, Monte Carlo, reduced integral) and the
 projected gradient ascent toward the regular simplex."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from mwkit import (DegeneracyError, HalfspaceCell, InscribedSimplex,
                    mean_width_mc, optimize_width, random_simplex,
                    regular_simplex, regular_tetrahedron_width,
                    regularity_metric, support_function, width)
+from mwkit import cells
 
 CLOSED_FORM = (6.0 / np.pi) * np.arccos(1.0 / np.sqrt(3.0)) * np.sqrt(2.0 / 3.0)
 
@@ -170,6 +173,52 @@ class TestOptimizer:
         warm = optimize_width(3, regular_simplex(3), max_iter=5)
         assert warm[0].grad_norm < 1e-12
 
+    def test_d3_builds_one_face_table_per_evaluated_point(self, monkeypatch):
+        calls = count_calls(monkeypatch, (cells, "_face_table"),
+                            (width, "_complex24_core"))
+        optimize_width(3, "random", seed=12, max_iter=400)
+        assert calls["_complex24_core"] > 20
+        assert calls["_face_table"] == calls["_complex24_core"]
+
+    def test_mc_ascent_draws_one_sample_pass_per_evaluated_point(self, monkeypatch):
+        calls = count_calls(monkeypatch, (width, "_sphere_samples"),
+                            (width, "_mc_width_and_gradient"),
+                            (width, "mean_width_mc"))
+        optimize_width(4, "random", seed=11, max_iter=5, mc_samples=5_000)
+        assert calls["_mc_width_and_gradient"] > 5
+        assert calls["_sphere_samples"] == calls["_mc_width_and_gradient"]
+        assert calls["mean_width_mc"] == 0
+
+    def test_trace_states_carry_their_own_value_and_gradient(self):
+        # a gradient kept from an earlier point would show in grad_norm
+        for st in optimize_width(3, "random", seed=12, max_iter=400):
+            w, G = width._exact3d_width_and_gradient(st.simplex.vertices)
+            assert st.width.value == w
+            assert st.grad_norm == float(np.linalg.norm(G))
+
+
+def count_calls(monkeypatch, *targets):
+    """Count the calls of each function (module, name) through every mwkit
+    module that binds it; returns name -> count."""
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for key, m in sys.modules.items() if key.startswith("mwkit.")]
+    for module, name in targets:
+        calls[name] = 0
+        fn = getattr(module, name)
+        wrapper = counted(name, fn)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
 
 def central_difference(f, V, h=1e-6):
     """Central differences of f(normalized rows of V), one coordinate at a
@@ -188,7 +237,7 @@ class TestGradient:
         rng = np.random.default_rng(20)
         for _ in range(20):
             V = random_simplex(3, rng).vertices
-            G = width._exact3d_gradient(V)
+            _, G = width._exact3d_width_and_gradient(V)
             G_fd = central_difference(width._exact3d_value, V)
             assert np.max(np.abs(G - G_fd)) < 1e-7
 
@@ -196,10 +245,10 @@ class TestGradient:
         rng = np.random.default_rng(21)
         for _ in range(10):
             V = random_simplex(3, rng).vertices
-            G = width._exact3d_gradient(V)
+            _, G = width._exact3d_width_and_gradient(V)
             assert np.max(np.abs(np.sum(G * V, axis=1))) < 1e-14
             assert np.linalg.norm(G) > 1e-6
-        G = width._exact3d_gradient(regular_simplex(3).vertices)
+        _, G = width._exact3d_width_and_gradient(regular_simplex(3).vertices)
         assert np.max(np.abs(G)) < 1e-12
 
     @pytest.mark.parametrize("d", [4, 5])
@@ -224,11 +273,12 @@ class TestGradient:
 
     def test_degenerate_iterate_raises(self):
         # four vertices on one small circle: every triple point is equidistant
-        # from all four vertices, for the gradient as for the objective
+        # from all four vertices, for the width-and-gradient evaluation as for
+        # the objective
         t = np.array([0.1, 1.7, 3.0, 4.4])
         r = np.sqrt(0.75)
         V = np.column_stack([r * np.cos(t), r * np.sin(t), np.full(4, 0.5)])
-        for fn in (width._exact3d_gradient, width._exact3d_value):
+        for fn in (width._exact3d_width_and_gradient, width._exact3d_value):
             with pytest.raises(DegeneracyError):
                 fn(V)
         antipodal = InscribedSimplex(np.array(
