@@ -66,9 +66,7 @@ class InscribedSimplex:
         norms = np.linalg.norm(V, axis=1)
         if np.max(np.abs(norms - 1.0)) > INGEST_NORM_TOL:
             raise ValueError("all vertices must lie on the unit sphere")
-        diffs = V[1:] - V[0]
-        if abs(np.linalg.det(diffs)) < DEGENERACY_EPS:
-            raise DegeneracyError("vertices are affinely dependent")
+        _check_full_dimensional(V)
 
     @property
     def d(self) -> int:
@@ -78,6 +76,12 @@ class InscribedSimplex:
     def _faces(self) -> "_Faces":
         # one table per simplex, shared by every face-point and chain query
         return _face_table(self.vertices)
+
+
+def _check_full_dimensional(V: np.ndarray) -> None:
+    """Raise DegeneracyError when the d+1 rows of V span a flat simplex."""
+    if abs(np.linalg.det(V[1:] - V[0])) < DEGENERACY_EPS:
+        raise DegeneracyError("vertices are affinely dependent")
 
 
 def random_simplex(d: int, rng: np.random.Generator,
@@ -194,6 +198,25 @@ def _face_table(V: np.ndarray) -> _Faces:
 def _top_masks(n: int) -> np.ndarray:
     """Bitmasks of the size-(n-1) subsets of range(n); entry x excludes x."""
     return ((1 << n) - 1) ^ (1 << np.arange(n))
+
+
+def _facet_normals(V: np.ndarray) -> np.ndarray:
+    """Outward unit normals of the facets of the simplex with vertex rows V;
+    row k is the normal of the facet opposite v_k.
+
+    The first d entries of row k of the inverse of the barycentric matrix
+    [[V^t], [1^t]] are the gradient of the k-th barycentric coordinate, which
+    points from the opposite facet toward v_k.  The normals are the size-d
+    face points of ``_face_table``: the unit vector equidistant from a
+    facet's vertices, on the side where they beat the excluded one.  Raises
+    DegeneracyError when the simplex is flat.
+    """
+    _check_full_dimensional(V)
+    n, d = V.shape
+    A = np.ones((n, n))
+    A[:d] = V.T
+    N = -np.linalg.inv(A)[:, :d]
+    return N / np.linalg.norm(N, axis=1, keepdims=True)
 
 
 def _subset_mask(S: InscribedSimplex, subset) -> int:

@@ -2,7 +2,8 @@
 optimization, and a cross-module self-test.
 
 Exit codes: 0 ok, 1 self-test failure, 2 bad method/dimension or an
-out-of-range count (``--grid``, ``--restarts``, ``--samples``), also a method
+out-of-range count (``--grid``, ``optimize --restarts``, ``--samples`` of
+``width --method mc``, ``optimize`` and ``selftest``), also a method
 that cannot evaluate this input (e.g. ``width --method mat`` on a piece too
 thin for its sampler), 3 infeasible simplex, 4 degeneracy, 5 I/O error.
 """
@@ -227,14 +228,19 @@ def cmd_optimize(args) -> int:
     if args.restarts < 1:
         print("error: --restarts must be >= 1", file=sys.stderr)
         return _EXIT_BAD_METHOD
+    if args.samples < 1:
+        print("error: --samples must be >= 1", file=sys.stderr)
+        return _EXIT_BAD_METHOD
     best = None
     if args.init:
         init = load_simplex(args.init, args.auto_normalize)
         traces = [optimize_width(args.d, init, max_iter=args.max_iter,
-                                 tol=args.tol, seed=args.seed)]
+                                 tol=args.tol, seed=args.seed,
+                                 mc_samples=args.samples)]
     else:
         traces = [optimize_width(args.d, "random", max_iter=args.max_iter,
-                                 tol=args.tol, seed=args.seed + r)
+                                 tol=args.tol, seed=args.seed + r,
+                                 mc_samples=args.samples)
                   for r in range(args.restarts)]
     for trace in traces:
         if best is None or trace[-1].width.value > best[-1].width.value:
@@ -365,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--simplex-out", default=None,
                     help="write the final simplex JSON here")
     sp.add_argument("--auto-normalize", action="store_true")
-    sp.set_defaults(func=cmd_optimize)
+    sp.set_defaults(samples=100_000, func=cmd_optimize)
 
     sp = sub.add_parser("selftest", help="cross-module oracle checks")
     common(sp)

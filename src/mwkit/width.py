@@ -3,6 +3,8 @@
 Three evaluation routes: the exact d = 3 closed form through the 24-triangle
 complex, plain Monte Carlo over the sphere for any d, and the reduced-integral
 route that sums cell marginal means over the signed path-simplex complex.
+The d = 3 ascent evaluates the same exact width by the edge (Steiner)
+formula from the four facet normals.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from .cells import (_PAIR_A, _PAIR_B, _PAIR_OTH, DegeneracyError,
-                    InscribedSimplex, _chain_path, _complex24_core)
+                    InscribedSimplex, _chain_path, _complex24_core,
+                    _facet_normals)
 from .cells import cell_vertex  # noqa: F401  the benchmark's trace test wraps it
 from .measures import HalfspaceCell, cell_marginal_mean_MAT
 
@@ -127,22 +130,25 @@ _PAIR_SIGN[_PAIR_B, np.arange(6)] = -1.0
 
 
 def _exact3d_width_and_gradient(V: np.ndarray):
-    """The exact d = 3 width and its tangential gradient from one complex.
+    """The exact d = 3 width and its tangential gradient from the four facet
+    normals (Steiner formula; Schneider, Convex Bodies, section 4.2).
 
-    dw/dv_i = 2 E[u 1{u in cell i}], and by the divergence theorem on S^2 the
-    integral of u over the spherical triangle of cell i is half the sum of its
-    edge lengths times the inward edge normals.  The edge shared with cell j
-    lies on the bisector plane of (v_i, v_j) and joins the complex vertices
-    q_k, q_l with {k, l} the complement of {i, j}, so
-    grad_i w = (1/4pi) sum_j l_ij (v_i - v_j)/|v_i - v_j| with
-    l_ij = arc(q_k, q_l).
+    The mean width is a multiple of the first intrinsic volume; in d = 3,
+    w = (1/4pi) sum_edges |v_i - v_j| l_ij with l_ij = pi - theta_ij =
+    arc(n_k, n_l), the exterior angle at edge ij between the outward normals
+    of the two facets that meet there ({k, l} the complement of {i, j}).
+    That arc is also the Voronoi edge shared by cells i and j, so with
+    dw/dv_i = 2 E[u 1{u in cell i}] and the divergence theorem on S^2,
+    grad_i w = (1/4pi) sum_j l_ij (v_i - v_j)/|v_i - v_j|.  Raises
+    DegeneracyError exactly when the tetrahedron is flat.
     """
-    sigma, a, b, q, _ = _complex24_core(V)
-    w = _complex24_width(sigma, a, b)
-    cos_ell = np.einsum("kd,kd->k", q[_PAIR_OTH[:, 0]], q[_PAIR_OTH[:, 1]])
+    n = _facet_normals(V)
+    cos_ell = (n @ n.T)[_PAIR_OTH[:, 0], _PAIR_OTH[:, 1]]
     ell = np.arccos(np.clip(cos_ell, -1.0, 1.0))
     diff = V[_PAIR_A] - V[_PAIR_B]
-    edge = (ell / np.linalg.norm(diff, axis=1))[:, None] * diff
+    length = np.linalg.norm(diff, axis=1)
+    w = float(ell @ length) / (4.0 * np.pi)
+    edge = (ell / length)[:, None] * diff
     return w, _tangent(_PAIR_SIGN @ edge / (4.0 * np.pi), V)
 
 
@@ -265,14 +271,18 @@ def optimize_width(d: int, init="random", *, max_iter: int = 1000,
                    min_step: float = 1e-13) -> list[OptimizerState]:
     """Projected gradient ascent of the mean width over inscribed simplices.
 
-    d = 3 uses the exact objective and its closed-form gradient from the
-    Voronoi edge lengths; higher d uses common-random-numbers Monte Carlo with
-    a fixed seed, so ascent decisions are stable, and the exact derivative of
-    that fixed-seed objective from the same samples.  Each trial point is
-    evaluated once, for the value and the gradient together; an accepted
-    trial's gradient is the next step's direction.  Vertices are renormalized
-    to the sphere after every step; steps that fail to improve are
-    backtracked.  Returns the trace of accepted states.
+    d = 3 uses the exact width from the edge (Steiner) formula
+    w = (1/4pi) sum_edges |v_i - v_j| l_ij, l_ij = pi - theta_ij the arc
+    between the outward normals of the two facets at edge ij (Schneider,
+    Convex Bodies, section 4.2), and its closed-form gradient
+    (1/4pi) sum_j l_ij (v_i - v_j)/|v_i - v_j|.  Higher d uses
+    common-random-numbers Monte Carlo with a fixed seed, so ascent decisions
+    are stable, and the exact derivative of that fixed-seed objective from the
+    same samples.  Each trial point is evaluated once, for the value and the
+    gradient together; an accepted trial's gradient is the next step's
+    direction.  Vertices are renormalized to the sphere after every step;
+    steps that fail to improve, or whose simplex is flat, are backtracked.
+    Returns the trace of accepted states.
     """
     rng = np.random.default_rng(seed)
     if isinstance(init, InscribedSimplex):
@@ -303,10 +313,7 @@ def optimize_width(d: int, init="random", *, max_iter: int = 1000,
             step_size=step, regularity=regularity_metric(S), converged=converged,
             grad_norm=float(np.linalg.norm(grad)))
 
-    try:
-        w, grad = evaluate(V)
-    except DegeneracyError as exc:
-        raise DegeneracyError(f"objective failed at initial point: {exc}") from exc
+    w, grad = evaluate(V)
     step = step0
     trace = [make_state(V, w, grad, 0, step, False)]
 

@@ -12,7 +12,7 @@ import pytest
 
 from mwkit.cells import random_simplex
 from mwkit.cli import main, load_simplex, simplex_to_document
-from mwkit.width import regular_simplex, regular_tetrahedron_width
+from mwkit.width import optimize_width, regular_simplex, regular_tetrahedron_width
 
 
 def write_simplex(path, S, metadata=None):
@@ -200,6 +200,17 @@ class TestOptimizeCommand:
         assert main(["optimize", "-d", "3", "--restarts", "0"]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_without_samples(self, capsys):
+        assert main(["optimize", "-d", "4", "--samples", "0", "--max-iter", "2"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_d4_uses_the_sample_count(self, capsys):
+        assert main(["optimize", "-d", "4", "--samples", "2000", "--max-iter", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        trace = optimize_width(4, "random", max_iter=2, seed=0, mc_samples=2000)
+        assert out["width"] == trace[-1].width.value
 
 
 class TestSelftestCommand:

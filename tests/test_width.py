@@ -173,12 +173,15 @@ class TestOptimizer:
         warm = optimize_width(3, regular_simplex(3), max_iter=5)
         assert warm[0].grad_norm < 1e-12
 
-    def test_d3_builds_one_face_table_per_evaluated_point(self, monkeypatch):
+    def test_d3_computes_facet_normals_once_per_evaluated_point(self, monkeypatch):
         calls = count_calls(monkeypatch, (cells, "_face_table"),
-                            (width, "_complex24_core"))
+                            (cells, "_complex24_core"),
+                            (cells, "_facet_normals"),
+                            (width, "_exact3d_width_and_gradient"))
         optimize_width(3, "random", seed=12, max_iter=400)
-        assert calls["_complex24_core"] > 20
-        assert calls["_face_table"] == calls["_complex24_core"]
+        assert calls["_exact3d_width_and_gradient"] > 20
+        assert calls["_facet_normals"] == calls["_exact3d_width_and_gradient"]
+        assert calls["_face_table"] == 0 and calls["_complex24_core"] == 0
 
     def test_mc_ascent_draws_one_sample_pass_per_evaluated_point(self, monkeypatch):
         calls = count_calls(monkeypatch, (width, "_sphere_samples"),
@@ -281,7 +284,12 @@ class TestGradient:
         for fn in (width._exact3d_width_and_gradient, width._exact3d_value):
             with pytest.raises(DegeneracyError):
                 fn(V)
+        # an antipodal pair is a proper tetrahedron: the complex cannot place
+        # the triple points, but the edge formula is smooth there
         antipodal = InscribedSimplex(np.array(
             [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-        with pytest.raises(DegeneracyError, match="objective failed"):
-            optimize_width(3, antipodal, max_iter=5)
+        with pytest.raises(DegeneracyError):
+            mean_width_exact3d(antipodal)
+        final = optimize_width(3, antipodal, max_iter=500)[-1]
+        assert abs(final.width.value - regular_tetrahedron_width()) < 1e-5
+        assert final.regularity < 1e-3
