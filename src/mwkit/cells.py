@@ -153,7 +153,9 @@ def _face_table(V: np.ndarray) -> _Faces:
     closeness test.
 
     p(Q) is the unit vector of span(V_Q) equidistant from the vertices of Q,
-    normalize(V_Q^t (V_Q V_Q^t)^-1 1) (v_q itself when Q = {q}).  It is
+    normalize(V_Q^t (V_Q V_Q^t)^-1 1) (v_q itself when Q = {q}, and the
+    facet normal from ``_facet_normals`` when |Q| = d, which stays defined
+    where the facet plane passes through the origin).  It is
     replaced by its antipode exactly when every vertex outside Q is nearer to
     it than Q is, i.e. side[Q, x] < 0 for all x outside Q.  For |Q| = d this
     is the cell-membership sign of the complex vertex.  For smaller Q it is
@@ -172,6 +174,10 @@ def _face_table(V: np.ndarray) -> _Faces:
         VQ = V[members]
         if members.shape[1] == 1:
             p = VQ[:, 0]
+        elif members.shape[1] == d:
+            # the facet normals, row x opposite v_x; a facet plane through
+            # the origin leaves them well defined
+            p = _facet_normals(V)[np.argmin(inside, axis=1)]
         else:
             G = VQ @ VQ.transpose(0, 2, 1)
             try:

@@ -3,9 +3,10 @@ optimization, and a cross-module self-test.
 
 Exit codes: 0 ok, 1 self-test failure, 2 bad method/dimension or an
 out-of-range count (``--grid``, ``optimize --restarts``, ``--samples`` of
-``width --method mc``, ``optimize`` and ``selftest``), also a method
-that cannot evaluate this input (e.g. ``width --method mat`` on a piece too
-thin for its sampler), 3 infeasible simplex, 4 degeneracy, 5 I/O error.
+``width --method mc`` and ``mat``, ``optimize`` and ``selftest``), also a
+method that cannot evaluate this input (``width --method mat`` when an
+orthoscheme piece is not a proper cell), 3 infeasible simplex,
+4 degeneracy, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def cmd_width(args) -> int:
         except DegeneracyError:
             raise
         except ValueError as exc:
-            # a piece too thin for the rejection sampler: mat cannot do this input
+            # --samples < 1, or an orthoscheme piece that is not a proper cell
             print(f"error: mat cannot evaluate this simplex: {exc}", file=sys.stderr)
             return _EXIT_BAD_METHOD
     else:

@@ -251,29 +251,29 @@ def _check_mat_prefactor():
     _MAT_PREFACTOR_CHECKED = True
 
 
-def cell_marginal_mean_MAT(cell: HalfspaceCell, n_samples: int, seed: int,
-                           *, prefactor_denominator: str = "d-1",
-                           min_acceptance: float = 1e-6) -> MarginalMean:
-    """M_{e1} of a simplex cell with vertex e1, by the reduced integral.
-
-    Evaluates c_d * int_{T~} (1 + (theta . h)^2)^{(1-d)/2} dmu(theta) by
-    rejection Monte Carlo over the reduced simplex T~ in S^{d-2} (sub-matrix
-    of H with first row and column removed), with h the normalized off-axis
-    part of the facet opposite e1 and c_d = 1/((d-1) W^{d-2}).
-
-    ``prefactor_denominator`` exists only as a regression hook: passing
-    "d-2" selects the (provably wrong) alternative normalization so tests can
-    show it fails the octant check.
-    """
+def _mat_prefactor(d: int, denominator: str = "d-1") -> float:
+    """c_d = 1/((d-1) W^{d-2}), after the one-time octant self-test."""
     if not _MAT_PREFACTOR_CHECKED:
         _check_mat_prefactor()
+    if denominator == "d-1":
+        return 1.0 / ((d - 1) * wallis_complete(d - 2))
+    if denominator == "d-2":
+        return 1.0 / ((d - 2) * wallis_complete(d - 2))
+    raise ValueError("prefactor_denominator must be 'd-1' or 'd-2'")
+
+
+def _reduced_cell(cell: HalfspaceCell) -> tuple[np.ndarray, np.ndarray]:
+    """(h, H_red) of a simplex cell with vertex e1.
+
+    The row of H whose facet does not pass through e1 is moved first; h is
+    its off-axis part over its e1 entry and H_red the rows of the other
+    facets without their first column, so the reduced simplex T~ in S^{d-2}
+    is {theta : H_red theta >= 0}.
+    """
     d = cell.d
     if d < 3:
         raise ValueError("the reduced integral needs ambient dimension d >= 3")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     H = cell.H
-    # locate the row whose facet does not pass through e1 and move it first
     first_col = H[:, 0]
     big = np.abs(first_col) > 1e-9
     if big.sum() != 1:
@@ -284,24 +284,58 @@ def cell_marginal_mean_MAT(cell: HalfspaceCell, n_samples: int, seed: int,
         raise ValueError("e1 lies outside the cell (negative first-row entry)")
     order = [k] + [i for i in range(d) if i != k]
     H = H[order]
-    h = H[0, 1:] / H[0, 0]
-    H_red = H[1:, 1:]
+    return H[0, 1:] / H[0, 0], H[1:, 1:]
 
-    if prefactor_denominator == "d-1":
-        pref = 1.0 / ((d - 1) * wallis_complete(d - 2))
-    elif prefactor_denominator == "d-2":
-        pref = 1.0 / ((d - 2) * wallis_complete(d - 2))
-    else:
-        raise ValueError("prefactor_denominator must be 'd-1' or 'd-2'")
 
+def _reduced_directions(d: int, n: int, seed: int) -> np.ndarray:
+    """n seeded uniform directions theta on S^{d-2}, the columns of a
+    (d-1, n) array."""
+    if n < 1:
+        raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    theta = rng.standard_normal((n_samples, d - 1))
-    theta /= np.linalg.norm(theta, axis=1, keepdims=True)
-    accept = np.all(theta @ H_red.T >= 0.0, axis=1)
-    if accept.sum() < min_acceptance * n_samples:
+    theta = np.ascontiguousarray(rng.standard_normal((n, d - 1)).T)
+    theta /= np.linalg.norm(theta, axis=0)
+    return theta
+
+
+def _reduced_integrand(theta: np.ndarray, h: np.ndarray,
+                       H_red: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the directions (columns of theta) inside the reduced simplex,
+    (H_red theta).min(axis=0) >= 0, and the integrand
+    (1 + (theta . h)^2)^{(1-d)/2} there; it is 0 elsewhere."""
+    P = np.vstack([H_red, h]) @ theta  # one product: H_red theta, then h . theta
+    inside = np.flatnonzero(P[:-1].min(axis=0) >= 0.0)
+    d = theta.shape[0] + 1
+    return inside, (1.0 + P[-1, inside] ** 2) ** ((1 - d) / 2.0)
+
+
+def cell_marginal_mean_MAT(cell: HalfspaceCell, n_samples: int, seed: int,
+                           *, prefactor_denominator: str = "d-1",
+                           min_acceptance: float = 1e-6) -> MarginalMean:
+    """M_{e1} of a simplex cell with vertex e1, by the reduced integral.
+
+    Evaluates c_d * int_{T~} (1 + (theta . h)^2)^{(1-d)/2} dmu(theta) by
+    rejection Monte Carlo: n_samples uniform directions on S^{d-2} drawn from
+    ``seed``, the integrand counted as 0 outside the reduced simplex T~
+    (sub-matrix of H with first row and column removed), h the normalized
+    off-axis part of the facet opposite e1 and c_d = 1/((d-1) W^{d-2}).
+    Raises ValueError when fewer than ``min_acceptance * n_samples`` directions
+    land in T~.  ``mean_width_mat`` runs the same three steps (reduced cell,
+    direction draw, integrand) but shares one draw among the pieces of a
+    Voronoi cell.
+
+    ``prefactor_denominator`` exists only as a regression hook: passing
+    "d-2" selects the (provably wrong) alternative normalization so tests can
+    show it fails the octant check.
+    """
+    h, H_red = _reduced_cell(cell)
+    pref = _mat_prefactor(cell.d, prefactor_denominator)
+    theta = _reduced_directions(cell.d, n_samples, seed)
+    inside, g_inside = _reduced_integrand(theta, h, H_red)
+    if len(inside) < min_acceptance * n_samples:
         raise ValueError("rejection acceptance rate below threshold: "
                          "cell too thin for naive sampling")
-    g = np.where(accept, (1.0 + (theta @ h) ** 2) ** ((1 - d) / 2.0), 0.0)
-    mean = g.mean()
-    se = g.std(ddof=1) / np.sqrt(n_samples)
-    return MarginalMean(float(pref * mean), float(pref * se), region="cell(MAT)")
+    g = np.zeros(n_samples)
+    g[inside] = g_inside
+    se = g.std(ddof=1) / np.sqrt(n_samples) if n_samples > 1 else 0.0
+    return MarginalMean(float(pref * g.mean()), float(pref * se), region="cell(MAT)")

@@ -20,7 +20,8 @@ from .cells import (_PAIR_A, _PAIR_B, _PAIR_OTH, DegeneracyError,
                     InscribedSimplex, _chain_path, _complex24_core,
                     _facet_normals)
 from .cells import cell_vertex  # noqa: F401  the benchmark's trace test wraps it
-from .measures import HalfspaceCell, cell_marginal_mean_MAT
+from .measures import (HalfspaceCell, _mat_prefactor, _reduced_cell,
+                       _reduced_directions, _reduced_integrand)
 
 __all__ = [
     "WidthEstimate",
@@ -186,37 +187,44 @@ def mean_width_mat(S: InscribedSimplex, n: int, seed: int) -> WidthEstimate:
     """Mean width by the reduced-integral marginal means.
 
     Each Voronoi cell i is cut into the d! signed path simplices of the
-    maximal chains that start at {i}; each piece is rotated so v_i sits at e1
-    and evaluated with the reduced integral; n is the sample count per piece.
-    Piece k gets seed + k, counting cell by cell and, within a cell, in
-    lexicographic order of (x_1, ..., x_{d-2}, y), x_k the vertex added at
-    level k and y the vertex outside the top subset: the order in which
-    ``decompose_simplex`` lists a cell's pieces.
+    maximal chains that start at {i}; each piece is rotated so v_i sits at e1,
+    where its reduced simplex lies in the same S^{d-2} as every other piece
+    of the cell.  So the cell draws one set of n directions on S^{d-2}, cell i
+    with seed + i, and every piece adds sign * g_k(theta) 1{theta in T~_k} to
+    one per-direction sum G (common random numbers).  The cell's marginal
+    mean is c_d mean(G), with std error c_d std(G)/sqrt(n) taken from those
+    per-direction cell sums; the cells are independent, so w = 2 sum_i of
+    the cell means and its se is 2 sqrt(sum of the cell variances).  A piece
+    that no direction hits adds 0 and leaves the estimate unbiased.
     """
     if S.d < 3:
         raise ValueError("the reduced-integral route needs d >= 3")
     d = S.d
     V = S.vertices
+    pref = _mat_prefactor(d)
     total = 0.0
     var = 0.0
-    k = 0
     for i in range(d + 1):
         others = [j for j in range(d + 1) if j != i]
         rot = _rotation_to_e1(V[i])
-        for *xs, y in itertools.permutations(others, d - 1):
-            (last,) = set(others).difference(xs, (y,))
-            path, sign = _chain_path(S._faces, [i, *xs, last])
+        theta = _reduced_directions(d, n, seed + i)
+        G = np.zeros(n)
+        for rest in itertools.permutations(others, d - 1):
+            path, sign = _chain_path(S._faces, [i, *rest])
             P = path @ rot.T  # rotated path vertices, first is e1
             N = np.linalg.inv(P.T)
             N /= np.linalg.norm(N, axis=1, keepdims=True)
             try:
-                mm = cell_marginal_mean_MAT(HalfspaceCell(N), n, seed + k)
+                h, H_red = _reduced_cell(HalfspaceCell(N))
             except ValueError as exc:
                 raise ValueError(f"cell {i}: {exc}") from exc
-            total += sign * mm.value
-            var += mm.std_error ** 2
-            k += 1
-    return WidthEstimate(2.0 * total, 2.0 * math.sqrt(var), "mat_quadrature")
+            inside, g = _reduced_integrand(theta, h, H_red)
+            G[inside] += sign * g
+        total += G.mean()
+        if n > 1:
+            var += G.var(ddof=1) / n
+    return WidthEstimate(float(2.0 * pref * total), 2.0 * pref * math.sqrt(var),
+                         "mat_quadrature")
 
 
 def regular_simplex(d: int) -> InscribedSimplex:

@@ -1,8 +1,8 @@
 """Command-line interface: subcommands, file formats, and exit codes.
 
 Exit code contract: 0 ok, 1 self-test failure, 2 bad method/dimension (or
-a method that cannot evaluate this input), 3 infeasible simplex,
-4 degeneracy, 5 I/O error.
+an out-of-range count, or a piece that is not a proper cell), 3 infeasible
+simplex, 4 degeneracy, 5 I/O error.
 """
 
 import json
@@ -13,6 +13,11 @@ import pytest
 from mwkit.cells import random_simplex
 from mwkit.cli import main, load_simplex, simplex_to_document
 from mwkit.width import optimize_width, regular_simplex, regular_tetrahedron_width
+from test_edge_formula import reference_width_d4
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
 
 
 def write_simplex(path, S, metadata=None):
@@ -91,13 +96,19 @@ class TestWidthCommand:
         assert not out["hemisphere_cover"]
 
     def test_mat_on_a_piece_too_thin_to_sample(self, tmp_path, capsys):
-        # a feasible 4-simplex with an orthoscheme piece that 2000 samples miss
+        # a feasible 4-simplex with an orthoscheme piece that 2000 directions
+        # miss: the cell's shared draw counts it as 0
         S = random_simplex(4, np.random.default_rng(3), feasible=True)
         path = write_simplex(tmp_path / "thin.json", S)
-        assert main(["width", path, "--method", "mat", "--samples", "2000"]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
-        assert "too thin" in err[0]
+        assert main(["width", path, "--method", "mat", "--samples", "2000"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        exact = reference_width_d4(S.vertices)
+        assert abs(out["value"] - exact) < 4 * out["std_error"]
+
+    def test_mat_with_one_sample(self, regular3, capsys):
+        assert main(["width", regular3, "--method", "mat", "--samples", "1"]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+        assert out["std_error"] == 0.0 and 0.0 <= out["value"] <= 2.0
 
     def test_out_file(self, regular3, tmp_path):
         dest = tmp_path / "w.json"

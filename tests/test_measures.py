@@ -1,6 +1,8 @@
 """Wallis integrals, cap measures, marginal means, the Brock centroid, and
 the reduced-integral cell evaluator."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -226,6 +228,33 @@ class TestHalfspaceCell:
         assert not cell.contains(np.array([-1.0, 0.0, 0.0]))
 
 
+# cell_marginal_mean_MAT's (value, std_error) on the cells of
+# test_matches_closed_form_d3, in order, as computed before its reduced cell,
+# direction draw and integrand became helpers shared with mean_width_mat
+MAT_RIGHT_TRIANGLES = [
+    (0.034762176246636564, 0.0002121750375145183),
+    (0.04797668566921895, 0.0002963508801536656),
+    (0.057296456945210614, 0.00032867978311729433),
+    (0.01005094166102563, 0.0001170770446789894),
+    (0.0138338429443809, 9.978832984985411e-05),
+    (0.0540109505929261, 0.00032530215993641586),
+    (0.03336628078597422, 0.00020743330728015516),
+    (0.02553370890030959, 0.00022709898502796933),
+    (0.025065353715874424, 0.00022874541933860532),
+    (0.06187395718392563, 0.00033865123672754017),
+    (0.05454791040116983, 0.00031145889191370394),
+    (0.023596670917936227, 0.0001649031998850324),
+    (0.027135021834981517, 0.00021811994050886243),
+    (0.02718057004563316, 0.00017618963826341707),
+    (0.00667321418839138, 5.89912880764023e-05),
+    (0.010343929335163402, 9.017611282943872e-05),
+    (0.027623592175207445, 0.00022221044509679192),
+    (0.016023457000945165, 0.00019287885807199698),
+    (0.033008439504465366, 0.00020603940855617255),
+    (0.036442904077342415, 0.00024966618388964494),
+]
+
+
 class TestCellMarginalMAT:
     def test_octant(self):
         mm = cell_marginal_mean_MAT(HalfspaceCell(np.eye(3)), 400_000, seed=0)
@@ -262,3 +291,30 @@ class TestCellMarginalMAT:
         Q = np.linalg.qr(np.ones((3, 3)) + np.eye(3))[0]
         with pytest.raises(ValueError):
             cell_marginal_mean_MAT(HalfspaceCell(Q), 1000, seed=0)
+
+    def test_octant_as_before(self):
+        for pref, value, se in (("d-1", 0.06248875, 0.00017115324213164783),
+                                ("d-2", 0.1249775, 0.00034230648426329565)):
+            mm = cell_marginal_mean_MAT(HalfspaceCell(np.eye(3)), 400_000, seed=0,
+                                        prefactor_denominator=pref)
+            assert abs(mm.value - value) < 1e-14
+            assert abs(mm.std_error - se) < 1e-14
+
+    def test_right_triangles_as_before(self):
+        rng = np.random.default_rng(9)
+        for value, se in MAT_RIGHT_TRIANGLES:
+            a, b = rng.uniform(0.3, np.pi / 2, size=2)
+            T = solve_right_triangle(a, b)
+            N = np.linalg.inv(np.column_stack([T.A, T.B, T.C]))
+            N /= np.linalg.norm(N, axis=1, keepdims=True)
+            mm = cell_marginal_mean_MAT(HalfspaceCell(N), 100_000,
+                                        seed=int(rng.integers(2 ** 31)))
+            assert abs(mm.value - value) < 1e-14
+            assert abs(mm.std_error - se) < 1e-14
+
+    def test_one_sample_has_a_finite_std_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # seed 1 draws a direction inside the quarter circle
+            mm = cell_marginal_mean_MAT(HalfspaceCell(np.eye(3)), 1, seed=1)
+        assert mm.std_error == 0.0

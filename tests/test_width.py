@@ -6,13 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from mwkit import (DegeneracyError, HalfspaceCell, InscribedSimplex,
-                   WidthEstimate, cell_marginal_mean_MAT, cell_vertex,
+from mwkit import (DegeneracyError, InscribedSimplex, WidthEstimate, cell_vertex,
                    decompose_simplex, mean_width_exact3d, mean_width_mat,
                    mean_width_mc, optimize_width, random_simplex,
                    regular_simplex, regular_tetrahedron_width,
-                   regularity_metric, support_function, width)
-from mwkit import cells
+                   regularity_metric, support_function, wallis_complete, width)
+from mwkit import cells, measures
 
 CLOSED_FORM = (6.0 / np.pi) * np.arccos(1.0 / np.sqrt(3.0)) * np.sqrt(2.0 / 3.0)
 
@@ -109,26 +108,47 @@ class TestMatRoute:
                                    regular_simplex(4)],
                              ids=["regular3", "random3", "regular4"])
     def test_same_pieces_and_seeds_as_the_cell_recursion(self, S):
-        # reference: cut each cell with decompose_simplex and give its k-th
-        # piece, counting over the cells in turn, the seed seed + k
+        # reference: cut each cell with decompose_simplex and evaluate all of
+        # its pieces on one set of directions, drawn with seed + i for cell i
         n, seed = 5_000, 17
         d, V = S.d, S.vertices
-        total, var, k = 0.0, 0.0, 0
+        pref = 1.0 / ((d - 1) * wallis_complete(d - 2))
+        total, var = 0.0, 0.0
         for i in range(d + 1):
             rest = [j for j in range(d + 1) if j != i]
             corners = np.array([cell_vertex(S, [i] + rest[:s] + rest[s + 1:])
                                 for s in range(d)])
             rot = width._rotation_to_e1(V[i])
+            theta = np.random.default_rng(seed + i).standard_normal((n, d - 1))
+            theta /= np.linalg.norm(theta, axis=1, keepdims=True)
+            G = np.zeros(n)
             for piece in decompose_simplex(corners, V[i]):
                 N = np.linalg.inv((piece.vertices @ rot.T).T)
                 N /= np.linalg.norm(N, axis=1, keepdims=True)
-                mm = cell_marginal_mean_MAT(HalfspaceCell(N), n, seed + k)
-                total += piece.sign * mm.value
-                var += mm.std_error ** 2
-                k += 1
+                # row 0 is the facet opposite e1, the others pass through e1
+                h, H_red = N[0, 1:] / N[0, 0], N[1:, 1:]
+                inside = np.all(theta @ H_red.T >= 0.0, axis=1)
+                g = (1.0 + (theta @ h) ** 2) ** ((1 - d) / 2.0)
+                G += piece.sign * np.where(inside, g, 0.0)
+            total += pref * G.mean()
+            var += pref ** 2 * G.var(ddof=1) / n
         est = mean_width_mat(S, n, seed)
         assert abs(est.value - 2.0 * total) < 1e-12
         assert abs(est.std_error - 2.0 * np.sqrt(var)) < 1e-12
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_draws_one_direction_set_per_cell(self, d, monkeypatch):
+        calls = count_calls(monkeypatch, (measures, "_reduced_directions"),
+                            (measures, "cell_marginal_mean_MAT"))
+        mean_width_mat(regular_simplex(d), 500, seed=1)
+        assert calls["_reduced_directions"] == d + 1
+        assert calls["cell_marginal_mean_MAT"] == 0
+
+    def test_d5_against_monte_carlo(self):
+        S = random_simplex(5, np.random.default_rng(50), feasible=True)
+        est = mean_width_mat(S, 30_000, seed=51)
+        mc = mean_width_mc(S, 1_000_000, seed=52)
+        assert abs(est.value - mc.value) < 4 * np.hypot(est.std_error, mc.std_error)
 
 
 class TestRegularSimplex:
