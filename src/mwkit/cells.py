@@ -5,8 +5,12 @@ complex correspond to nonempty vertex subsets of size 1..d, maximal chains
 index path simplices (orthoschemes), and each cell splits into d! signed
 path simplices by recursive altitude dropping.  One table per simplex holds
 the face point of every subset and the side tests that orient it and sign
-the chains; the chain pieces, the d = 3 complex of 24 right triangles with
-its angle-sum audit, and the feasibility check all read from it.
+the chains.  One chain engine reads it: ``_chain_orders`` enumerates the
+maximal chains and ``_chain_path`` turns any stack of them into signed path
+simplices, so ``maximal_chains``, the path simplex of a chain, the d = 3
+complex of 24 right triangles with its angle-sum audit and the pieces of
+``width.mean_width_mat`` are the same objects.  The feasibility check reads
+the table too.
 """
 
 from __future__ import annotations
@@ -257,12 +261,20 @@ def cell_vertex(S: InscribedSimplex, subset) -> np.ndarray:
     return S._faces.points[mask].copy()
 
 
+@lru_cache(maxsize=None)
+def _chain_orders(n: int) -> np.ndarray:
+    """The (n-1)-permutations of range(n) in lexicographic order, one row per
+    maximal chain Q_k = row[:k] of the simplex with n vertices; block i of
+    (n-1)! rows holds the chains that start at {i}.  Read-only."""
+    orders = np.array(list(itertools.permutations(range(n), n - 1)))
+    orders.flags.writeable = False
+    return orders
+
+
 def maximal_chains(d: int) -> list[tuple[frozenset, ...]]:
     """All maximal chains of vertex subsets, sizes 1 through d; (d+1)! of them."""
-    chains = []
-    for seq in itertools.permutations(range(d + 1), d):
-        chains.append(tuple(frozenset(seq[: k + 1]) for k in range(d)))
-    return chains
+    return [tuple(frozenset(row[: k + 1]) for k in range(d))
+            for row in _chain_orders(d + 1).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -411,57 +423,51 @@ def path_simplex_from_chain(S: InscribedSimplex, chain) -> SignedPathSimplex:
         raise ValueError("chain indices out of range")
     order = [*chain[0]] + [x for small, big in zip(chain, chain[1:]) for x in big - small]
     pts, sign = _chain_path(S._faces, order)
-    return SignedPathSimplex(pts, sign, chain=chain)
+    return SignedPathSimplex(pts, int(sign), chain=chain)
 
 
-def _chain_path(faces: _Faces, order) -> tuple[np.ndarray, int]:
-    """Path vertices p(Q_1)..p(Q_d) and sign of the chain Q_k = order[:k].
+def _chain_path(faces: _Faces, orders) -> tuple[np.ndarray, np.ndarray]:
+    """Path vertices p(Q_1)..p(Q_d) and sign of the chain Q_k = order[:k], for
+    one order or a stack of them (the last axis runs along the chain).
 
-    The sign multiplies side[Q_k, x] over the levels, x = order[k] the vertex
-    the next subset adds; the first level is always positive.
+    Returns the points, shape (..., d, d), and the signs, shape (...), as
+    +-1.0.  The sign multiplies side[Q_k, x] over the levels, x = order[k]
+    the vertex the next subset adds; the first level is always positive.
     """
-    order = np.asarray(order)
-    masks = np.cumsum(1 << order)
-    sign = np.prod(np.sign(faces.side[masks[:-1], order[1:]]))
-    return faces.points[masks], int(sign)
+    orders = np.asarray(orders)
+    masks = np.cumsum(1 << orders, axis=-1)
+    signs = np.prod(np.sign(faces.side[masks[..., :-1], orders[..., 1:]]), axis=-1)
+    return faces.points[masks], signs
 
 
 # ---------------------------------------------------------------------------
 # The d = 3 complex of 24 right triangles
 # ---------------------------------------------------------------------------
 
-# static index tables for the 24 records (cell i, neighbor j, endpoint c):
-# the triangle (v_i, m_ij, q_c) of the chain {i} < {i, j} < {i, j, c2}
-_OTH = [tuple(x for x in range(4) if x != l) for l in range(4)]
-_R_I, _R_J, _R_C = np.array(list(itertools.permutations(range(4), 3))).T
-_R_C2 = 6 - _R_I - _R_J - _R_C
-_R_PAIR = (1 << _R_I) | (1 << _R_J)
 _PAIR_A, _PAIR_B = np.array(list(itertools.combinations(range(4), 2))).T
 # the two indices outside each pair: the complex face of pair (i, j) is the
 # arc between the triple points q_k, k not in {i, j}
 _PAIR_OTH = np.array([[x for x in range(4) if x not in p] for p in zip(_PAIR_A, _PAIR_B)])
-# bitmasks of the four triples: q_l excludes vertex l
-_TRIPLE_MASK = _top_masks(4)
 
 
-def _complex24_core(V: np.ndarray):
-    """Vectorized 24-triangle complex of a d=3 inscribed simplex.
+def _complex24_core(faces: _Faces):
+    """Vectorized 24-triangle complex of a d=3 inscribed simplex, read from
+    its face table.
 
-    Returns (sigma, a, b, q, m) with, per record, the decomposition sign,
-    the leg a = arc(m_ij, q_c) opposite the apex v_i, the leg
-    b = arc(v_i, m_ij) along the altitude, and the foot m_ij; q holds the
-    four triple points.
+    The triangles are the path simplices (v_i, m_ij, q) of the 24 maximal
+    chains {i} < {i, j} < {i, j, k}, in ``_chain_orders(4)`` order: m_ij the
+    altitude foot of cell i toward v_j and q the triple point of {i, j, k}.
+    Returns (sigma, a, b, paths) with, per triangle, the decomposition sign,
+    the leg a = arc(m_ij, q) opposite the apex v_i, the leg
+    b = arc(v_i, m_ij) along the altitude, and the path vertices (24, 3, 3).
     """
-    faces = _face_table(V)
-    q = faces.points[_TRIPLE_MASK]
-    m = faces.points[_R_PAIR]
-    # the chain sign: the side of m_ij between v_i and v_c2
-    sigma = np.sign(faces.side[_R_PAIR, _R_C2])
-    b = np.arccos(np.clip(np.einsum("kd,kd->k", V[_R_I], m), -1.0, 1.0))
-    a = np.arccos(np.clip(np.einsum("kd,kd->k", m, q[_R_C]), -1.0, 1.0))
+    paths, sigma = _chain_path(faces, _chain_orders(4))
+    v, m, q = paths[:, 0], paths[:, 1], paths[:, 2]
+    b = np.arccos(np.clip(np.einsum("kd,kd->k", v, m), -1.0, 1.0))
+    a = np.arccos(np.clip(np.einsum("kd,kd->k", m, q), -1.0, 1.0))
     if np.min(a) < DEGENERACY_EPS or np.min(b) < DEGENERACY_EPS:
         raise DegeneracyError("degenerate right triangle in the complex")
-    return sigma, a, b, q, m
+    return sigma, a, b, paths
 
 
 def _angles_between(at: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -498,13 +504,18 @@ class ComplexAudit:
         return all(checks)
 
 
-def right_triangle_complex(S: InscribedSimplex, tol: float = 1e-9):
+_AUDIT_TOL = 1e-9  # the audit's tolerance on its angle sums
+
+
+def right_triangle_complex(S: InscribedSimplex):
     """The 24 signed right triangles of a d = 3 inscribed simplex plus audit.
 
     Each Voronoi cell S_i contributes the six triangles (v_i, m_ij, p_ijk)
-    from its altitude decomposition.  The audit checks the signed angle sums
-    (2*pi per vertex, 8*pi total), the Girard bookkeeping for the non-right
-    angles, and, when the hemisphere cover holds, that no angle exceeds pi/2.
+    from its altitude decomposition, the path simplices of the chains
+    ``maximal_chains(3)`` in that order.  The audit checks the signed angle
+    sums (2*pi per vertex, 8*pi total), the Girard bookkeeping for the
+    non-right angles, and, when the hemisphere cover holds, that no angle
+    exceeds pi/2.
 
     The non-right-angle check is the Girard closure of the signed area
     identity sum sigma(T) area(T) = sum_i area(S_i): the steradian cell areas
@@ -516,25 +527,22 @@ def right_triangle_complex(S: InscribedSimplex, tol: float = 1e-9):
     if S.d != 3:
         raise ValueError("the 24-triangle complex is a d = 3 construction")
     V = S.vertices
-    sigma, a, b, q, m = _complex24_core(V)
+    sigma, a, b, paths = _complex24_core(S._faces)
+    q = S._faces.points[_top_masks(4)]  # q_l, the triple point excluding v_l
 
-    vi = V[_R_I]
-    qc = q[_R_C]
+    vi, m, qc = paths[:, 0], paths[:, 1], paths[:, 2]
     ang_vertex = _angles_between(vi, m, qc)
     ang_right = _angles_between(m, vi, qc)
     ang_other = _angles_between(qc, m, vi)
 
-    triangles = [
-        SignedPathSimplex(np.array([V[i], m_k, q[c]]), int(s))
-        for i, m_k, c, s in zip(_R_I, m, _R_C, sigma.astype(int))
-    ]
+    triangles = [SignedPathSimplex(P, int(s)) for P, s in zip(paths, sigma)]
 
     vertex_sums = np.zeros(4)
-    np.add.at(vertex_sums, _R_I, sigma * ang_vertex)
+    np.add.at(vertex_sums, _chain_orders(4)[:, 0], sigma * ang_vertex)
     other_sum = float(np.sum(sigma * ang_other))
     cell_areas = []
     for i in range(4):
-        qa, qb, qcix = (q[x] for x in _OTH[i])
+        qa, qb, qcix = np.delete(q, i, axis=0)
         s = vertex_angle(qa, qb, qcix) + vertex_angle(qb, qcix, qa) + vertex_angle(qcix, qa, qb)
         cell_areas.append(s - np.pi)
     cell_area_sum = float(sum(cell_areas))
@@ -554,10 +562,10 @@ def right_triangle_complex(S: InscribedSimplex, tol: float = 1e-9):
         sign_total=sign_total,
         max_angle=max_angle,
         cover_holds=cover,
-        vertex_sums_ok=bool(np.max(np.abs(vertex_sums - 2 * np.pi)) < tol),
-        total_ok=abs(total_vertex - 8 * np.pi) < tol,
-        other_ok=abs(other_sum - other_target) < tol,
-        angles_ok=max_angle <= np.pi / 2 + tol,
+        vertex_sums_ok=bool(np.max(np.abs(vertex_sums - 2 * np.pi)) < _AUDIT_TOL),
+        total_ok=abs(total_vertex - 8 * np.pi) < _AUDIT_TOL,
+        other_ok=abs(other_sum - other_target) < _AUDIT_TOL,
+        angles_ok=max_angle <= np.pi / 2 + _AUDIT_TOL,
     )
     return triangles, audit
 

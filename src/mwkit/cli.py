@@ -1,6 +1,9 @@
 """Command-line interface: width evaluation, decompositions, Hessian scans,
 optimization, and a cross-module self-test.
 
+Each subcommand takes only the options it reads (``build_parser``); any
+other option is an argparse usage error, exit 2.
+
 Exit codes: 0 ok, 1 self-test failure, 2 bad method/dimension or an
 out-of-range count (``--grid``, ``optimize --restarts``, ``--samples`` of
 ``width --method mc`` and ``mat``, ``optimize`` and ``selftest``), also a
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -181,21 +185,7 @@ def _decompose_run(S: InscribedSimplex, args) -> int:
     payload = {"d": S.d, "n_path_simplices": len(entries), "entries": entries}
     if S.d == 3:
         _, audit = right_triangle_complex(S)
-        payload["audit"] = {
-            "vertex_angle_sums": audit.vertex_angle_sums.tolist(),
-            "total_vertex_angle_sum": audit.total_vertex_angle_sum,
-            "other_angle_sum": audit.other_angle_sum,
-            "other_angle_target": audit.other_angle_target,
-            "cell_area_sum": audit.cell_area_sum,
-            "sign_total": audit.sign_total,
-            "max_angle": audit.max_angle,
-            "cover_holds": audit.cover_holds,
-            "vertex_sums_ok": audit.vertex_sums_ok,
-            "total_ok": audit.total_ok,
-            "other_ok": audit.other_ok,
-            "angles_ok": audit.angles_ok,
-            "all_ok": audit.all_ok,
-        }
+        payload["audit"] = {**dataclasses.asdict(audit), "all_ok": audit.all_ok}
     if S.d == 4:
         thetas = np.array([e["dihedral_angles"] for e in entries])
         payload["level_angle_sums"] = thetas.sum(axis=0).tolist()
@@ -329,6 +319,12 @@ def cmd_selftest(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+_COMMON_OPTIONS = {"seed": dict(type=int, default=0),
+                   "samples": dict(type=int, default=1_000_000),
+                   "tol": dict(type=float, default=1e-10),
+                   "out": dict(default=None, help="output file path")}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="mwkit",
@@ -336,35 +332,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "decomposition, Hessian scans, optimization.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, simplex=False):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--samples", type=int, default=1_000_000)
-        sp.add_argument("--tol", type=float, default=1e-10)
-        sp.add_argument("--out", default=None, help="output file path")
+    def common(sp, *names, simplex=False):
+        # only the shared options this subcommand reads
+        for name in names:
+            sp.add_argument(f"--{name}", **_COMMON_OPTIONS[name])
         if simplex:
             sp.add_argument("simplex", help="simplex JSON file")
             sp.add_argument("--auto-normalize", action="store_true",
                             help="renormalize near-unit vertices on ingest")
 
     sp = sub.add_parser("width", help="mean width of a simplex")
-    common(sp, simplex=True)
+    common(sp, "seed", "samples", "out", simplex=True)
     sp.add_argument("--method", choices=["exact3d", "mc", "mat"],
                     default="exact3d")
     sp.set_defaults(func=cmd_width)
 
     sp = sub.add_parser("decompose", help="signed path-simplex decomposition")
-    common(sp, simplex=True)
+    common(sp, "seed", "out", simplex=True)
     sp.add_argument("--jiggle", action="store_true",
                     help="escape degeneracy with a 1e-7 random rotation")
     sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("hessian", help="negative-definiteness region scan")
-    common(sp)
+    common(sp, "out")
     sp.add_argument("--grid", type=int, default=200)
     sp.set_defaults(func=cmd_hessian)
 
     sp = sub.add_parser("optimize", help="projected gradient ascent of width")
-    common(sp)
+    common(sp, "seed", "samples", "tol", "out")
     sp.add_argument("-d", type=int, default=3)
     sp.add_argument("--restarts", type=int, default=1)
     sp.add_argument("--max-iter", type=int, default=1000)
@@ -375,11 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(samples=100_000, func=cmd_optimize)
 
     sp = sub.add_parser("selftest", help="cross-module oracle checks")
-    common(sp)
-    sp.set_defaults(samples=200_000)
+    common(sp, "seed", "samples")
     sp.add_argument("--force-mat-prefactor", choices=["d-1", "d-2"],
                     default=None, help=argparse.SUPPRESS)
-    sp.set_defaults(func=cmd_selftest)
+    sp.set_defaults(samples=200_000, func=cmd_selftest)
 
     return p
 

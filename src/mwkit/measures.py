@@ -9,7 +9,7 @@ measure on S^2 (the two differ by a factor 4*pi).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -234,27 +234,23 @@ class HalfspaceCell:
         return np.all(u @ self.H.T >= -tol, axis=-1)
 
 
-_MAT_PREFACTOR_CHECKED = False
-
-
-def _check_mat_prefactor():
-    # octant regression: with prefactor 1/((d-1) W^{d-2}) the octant cell in
-    # S^2 gives prefactor * mu(quarter circle) = (1/4)(1/4) = 1/16, the value
-    # of the closed form a sin b / (8 pi) at a = b = pi/2
-    global _MAT_PREFACTOR_CHECKED
+@cache
+def _check_mat_prefactor() -> None:
+    # octant regression, run once per process: with prefactor
+    # 1/((d-1) W^{d-2}) the octant cell in S^2 gives
+    # prefactor * mu(quarter circle) = (1/4)(1/4) = 1/16, the value of the
+    # closed form a sin b / (8 pi) at a = b = pi/2
     pref = 1.0 / ((3 - 1) * wallis_complete(3 - 2))
     closed = _right_marginal_value(np.pi / 2, np.pi / 2)
     if abs(pref * 0.25 - closed) > GLOBAL_EPS:
         raise AssertionError(
             "MAT prefactor self-test failed: 1/((d-1) W^{d-2}) does not "
             "reproduce the d=3 closed form on the octant")
-    _MAT_PREFACTOR_CHECKED = True
 
 
 def _mat_prefactor(d: int, denominator: str = "d-1") -> float:
     """c_d = 1/((d-1) W^{d-2}), after the one-time octant self-test."""
-    if not _MAT_PREFACTOR_CHECKED:
-        _check_mat_prefactor()
+    _check_mat_prefactor()
     if denominator == "d-1":
         return 1.0 / ((d - 1) * wallis_complete(d - 2))
     if denominator == "d-2":
@@ -309,9 +305,12 @@ def _reduced_integrand(theta: np.ndarray, h: np.ndarray,
     return inside, (1.0 + P[-1, inside] ** 2) ** ((1 - d) / 2.0)
 
 
+# cell_marginal_mean_MAT raises below this share of directions inside T~
+_MIN_ACCEPTANCE = 1e-6
+
+
 def cell_marginal_mean_MAT(cell: HalfspaceCell, n_samples: int, seed: int,
-                           *, prefactor_denominator: str = "d-1",
-                           min_acceptance: float = 1e-6) -> MarginalMean:
+                           *, prefactor_denominator: str = "d-1") -> MarginalMean:
     """M_{e1} of a simplex cell with vertex e1, by the reduced integral.
 
     Evaluates c_d * int_{T~} (1 + (theta . h)^2)^{(1-d)/2} dmu(theta) by
@@ -319,10 +318,10 @@ def cell_marginal_mean_MAT(cell: HalfspaceCell, n_samples: int, seed: int,
     ``seed``, the integrand counted as 0 outside the reduced simplex T~
     (sub-matrix of H with first row and column removed), h the normalized
     off-axis part of the facet opposite e1 and c_d = 1/((d-1) W^{d-2}).
-    Raises ValueError when fewer than ``min_acceptance * n_samples`` directions
-    land in T~.  ``mean_width_mat`` runs the same three steps (reduced cell,
-    direction draw, integrand) but shares one draw among the pieces of a
-    Voronoi cell.
+    Raises ValueError when fewer than ``_MIN_ACCEPTANCE * n_samples``
+    directions land in T~.  ``mean_width_mat`` runs the same three steps
+    (reduced cell, direction draw, integrand) but shares one draw among the
+    pieces of a Voronoi cell.
 
     ``prefactor_denominator`` exists only as a regression hook: passing
     "d-2" selects the (provably wrong) alternative normalization so tests can
@@ -332,7 +331,7 @@ def cell_marginal_mean_MAT(cell: HalfspaceCell, n_samples: int, seed: int,
     pref = _mat_prefactor(cell.d, prefactor_denominator)
     theta = _reduced_directions(cell.d, n_samples, seed)
     inside, g_inside = _reduced_integrand(theta, h, H_red)
-    if len(inside) < min_acceptance * n_samples:
+    if len(inside) < _MIN_ACCEPTANCE * n_samples:
         raise ValueError("rejection acceptance rate below threshold: "
                          "cell too thin for naive sampling")
     g = np.zeros(n_samples)

@@ -9,7 +9,6 @@ formula from the four facet normals.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -17,8 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .cells import (_PAIR_A, _PAIR_B, _PAIR_OTH, DegeneracyError,
-                    InscribedSimplex, _chain_path, _complex24_core,
-                    _facet_normals)
+                    InscribedSimplex, _chain_orders, _chain_path,
+                    _complex24_core, _face_table, _facet_normals)
 from .cells import cell_vertex  # noqa: F401  the benchmark's trace test wraps it
 from .measures import (HalfspaceCell, _mat_prefactor, _reduced_cell,
                        _reduced_directions, _reduced_integrand)
@@ -121,7 +120,7 @@ def _complex24_width(sigma, a, b) -> float:
 
 
 def _exact3d_value(V: np.ndarray) -> float:
-    return _complex24_width(*_complex24_core(V)[:3])
+    return _complex24_width(*_complex24_core(_face_table(V))[:3])
 
 
 # +1 at the first and -1 at the second vertex of each of the six pairs
@@ -163,11 +162,12 @@ def mean_width_exact3d(S: InscribedSimplex) -> WidthEstimate:
     if S.d != 3:
         raise ValueError("exact3d needs ambient dimension 3")
     try:
-        return WidthEstimate(_exact3d_value(S.vertices), 0.0, "exact3d")
+        value = _complex24_width(*_complex24_core(S._faces)[:3])
     except DegeneracyError as exc:
         raise DegeneracyError(
             f"{exc}; a tiny random rotation of the input (jiggle) usually "
             "escapes the degeneracy") from exc
+    return WidthEstimate(value, 0.0, "exact3d")
 
 
 def _rotation_to_e1(v: np.ndarray) -> np.ndarray:
@@ -187,11 +187,12 @@ def mean_width_mat(S: InscribedSimplex, n: int, seed: int) -> WidthEstimate:
     """Mean width by the reduced-integral marginal means.
 
     Each Voronoi cell i is cut into the d! signed path simplices of the
-    maximal chains that start at {i}; each piece is rotated so v_i sits at e1,
-    where its reduced simplex lies in the same S^{d-2} as every other piece
-    of the cell.  So the cell draws one set of n directions on S^{d-2}, cell i
-    with seed + i, and every piece adds sign * g_k(theta) 1{theta in T~_k} to
-    one per-direction sum G (common random numbers).  The cell's marginal
+    maximal chains that start at {i}, block i of ``_chain_orders(d + 1)``,
+    read by one stacked ``_chain_path`` call; the pieces are rotated together
+    so v_i sits at e1, where each reduced simplex lies in the same S^{d-2}.
+    So the cell draws one set of n directions on S^{d-2}, cell i with
+    seed + i, and every piece adds sign * g_k(theta) 1{theta in T~_k} to one
+    per-direction sum G (common random numbers).  The cell's marginal
     mean is c_d mean(G), with std error c_d std(G)/sqrt(n) taken from those
     per-direction cell sums; the cells are independent, so w = 2 sum_i of
     the cell means and its se is 2 sqrt(sum of the cell variances).  A piece
@@ -204,18 +205,16 @@ def mean_width_mat(S: InscribedSimplex, n: int, seed: int) -> WidthEstimate:
     pref = _mat_prefactor(d)
     total = 0.0
     var = 0.0
-    for i in range(d + 1):
-        others = [j for j in range(d + 1) if j != i]
-        rot = _rotation_to_e1(V[i])
+    for i, orders in enumerate(_chain_orders(d + 1).reshape(d + 1, -1, d)):
+        paths, signs = _chain_path(S._faces, orders)
+        P = paths @ _rotation_to_e1(V[i]).T  # rotated path vertices, first is e1
+        N = np.linalg.inv(P.transpose(0, 2, 1))
+        N /= np.linalg.norm(N, axis=2, keepdims=True)
         theta = _reduced_directions(d, n, seed + i)
         G = np.zeros(n)
-        for rest in itertools.permutations(others, d - 1):
-            path, sign = _chain_path(S._faces, [i, *rest])
-            P = path @ rot.T  # rotated path vertices, first is e1
-            N = np.linalg.inv(P.T)
-            N /= np.linalg.norm(N, axis=1, keepdims=True)
+        for Nk, sign in zip(N, signs):
             try:
-                h, H_red = _reduced_cell(HalfspaceCell(N))
+                h, H_red = _reduced_cell(HalfspaceCell(Nk))
             except ValueError as exc:
                 raise ValueError(f"cell {i}: {exc}") from exc
             inside, g = _reduced_integrand(theta, h, H_red)

@@ -12,6 +12,7 @@ from mwkit import (DegeneracyError, InscribedSimplex, adjacent_dihedral_angles,
                    feasibility_checks, gram_matrix, maximal_chains,
                    path_simplex_from_chain, random_simplex,
                    right_triangle_complex, voronoi_cells)
+from mwkit import cells as mwcells
 from mwkit.width import regular_simplex
 
 
@@ -102,6 +103,18 @@ class TestChains:
             assert [len(Q) for Q in chain] == [1, 2, 3]
             for small, big in zip(chain, chain[1:]):
                 assert small < big
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_read_from_the_chain_orders(self, d):
+        # the chains Q_k = seq[:k] of the d-permutations of range(d + 1), in
+        # lexicographic order; block i of the orders starts at {i}
+        orders = mwcells._chain_orders(d + 1)
+        seqs = list(itertools.permutations(range(d + 1), d))
+        assert orders.tolist() == [list(seq) for seq in seqs]
+        assert maximal_chains(d) == [tuple(frozenset(seq[:k + 1]) for k in range(d))
+                                     for seq in seqs]
+        block = math.factorial(d)
+        assert np.array_equal(orders[:, 0], np.repeat(np.arange(d + 1), block))
 
 
 class TestDecomposeSimplex:
@@ -206,21 +219,41 @@ class TestChainConsistency:
             assert sorted(matched) == list(range(len(cells)))
 
     def test_complex24_is_the_chain_decomposition(self):
-        # the vectorized d = 3 complex: same 24 triangles and signs as the chains
+        # the vectorized d = 3 complex: the path simplices of the chains, in
+        # the order of maximal_chains(3), vertex for vertex and sign for sign
         rng = np.random.default_rng(81)
+        negative = 0
         for feasible in (True, False) * 10:
             S = random_simplex(3, rng, feasible=feasible)
             triangles, _ = right_triangle_complex(S)
-            T = np.array([t.vertices for t in triangles])
-            matched = []
-            for chain in maximal_chains(3):
+            chains = maximal_chains(3)
+            assert len(triangles) == len(chains) == 24
+            for T, chain in zip(triangles, chains):
                 P = path_simplex_from_chain(S, chain)
-                gap = np.max(np.abs(T - P.vertices), axis=(1, 2))
-                k = int(np.argmin(gap))
-                assert gap[k] < 1e-12
-                assert P.sign == triangles[k].sign
-                matched.append(k)
-            assert sorted(matched) == list(range(24))
+                assert np.array_equal(T.vertices, P.vertices)
+                assert T.sign == P.sign
+                negative += T.sign < 0
+        assert negative > 0
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("feasible", [True, False])
+    def test_stacked_chain_path_is_row_by_row(self, d, feasible):
+        # one call over a stack of orders gives, bit for bit, what one call
+        # per order gives
+        rng = np.random.default_rng(90 + d)
+        S = random_simplex(d, rng, feasible=feasible)
+        while not feasible and feasibility_checks(S).origin_in_hull:
+            S = random_simplex(d, rng)
+        orders = mwcells._chain_orders(d + 1)
+        paths, signs = mwcells._chain_path(S._faces, orders)
+        assert paths.shape == (len(orders), d, d) and signs.shape == (len(orders),)
+        for order, P, s in zip(orders, paths, signs):
+            P1, s1 = mwcells._chain_path(S._faces, order)
+            assert np.array_equal(P1, P) and s1 == s
+        blocks = orders.reshape(d + 1, -1, d)
+        stacked, stacked_signs = mwcells._chain_path(S._faces, blocks)
+        assert np.array_equal(stacked.reshape(paths.shape), paths)
+        assert np.array_equal(stacked_signs.ravel(), signs)
 
 
 class TestRightTriangleComplex:

@@ -10,10 +10,12 @@ import json
 import numpy as np
 import pytest
 
+from mwkit import cells
 from mwkit.cells import random_simplex
 from mwkit.cli import main, load_simplex, simplex_to_document
 from mwkit.width import optimize_width, regular_simplex, regular_tetrahedron_width
 from test_edge_formula import reference_width_d4
+from test_width import count_calls
 
 
 def reject_constant(name):
@@ -239,3 +241,33 @@ class TestSelftestCommand:
                      "--force-mat-prefactor", "d-2"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "prefactor" in out
+
+
+class TestOptions:
+    # each subcommand takes only the options it reads
+    @pytest.mark.parametrize("argv", [
+        ["width", "--tol", "1e-9"],
+        ["decompose", "--samples", "10"],
+        ["decompose", "--tol", "1e-9"],
+        ["hessian", "--seed", "1"],
+        ["hessian", "--samples", "10"],
+        ["hessian", "--tol", "1e-9"],
+        ["selftest", "--tol", "1e-9"],
+        ["selftest", "--out", "selftest.json"],
+    ], ids=lambda argv: argv[0] + argv[1])
+    def test_unread_option_is_a_usage_error(self, argv, regular3, capsys):
+        if argv[0] in ("width", "decompose"):
+            argv = [argv[0], regular3, *argv[1:]]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["width", "decompose"])
+def test_builds_one_face_table_per_simplex(command, tmp_path, monkeypatch, capsys):
+    S = random_simplex(3, np.random.default_rng(4), feasible=True)
+    path = write_simplex(tmp_path / "s.json", S)
+    calls = count_calls(monkeypatch, (cells, "_face_table"))
+    assert main([command, path]) == 0
+    assert calls["_face_table"] == 1

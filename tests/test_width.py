@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from mwkit import (DegeneracyError, InscribedSimplex, WidthEstimate, cell_vertex,
                    decompose_simplex, mean_width_exact3d, mean_width_mat,
@@ -12,6 +14,7 @@ from mwkit import (DegeneracyError, InscribedSimplex, WidthEstimate, cell_vertex
                    regular_simplex, regular_tetrahedron_width,
                    regularity_metric, support_function, wallis_complete, width)
 from mwkit import cells, measures
+from test_edge_formula import PROPERTY, orthogonal, simplices
 
 CLOSED_FORM = (6.0 / np.pi) * np.arccos(1.0 / np.sqrt(3.0)) * np.sqrt(2.0 / 3.0)
 
@@ -139,16 +142,71 @@ class TestMatRoute:
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_draws_one_direction_set_per_cell(self, d, monkeypatch):
         calls = count_calls(monkeypatch, (measures, "_reduced_directions"),
-                            (measures, "cell_marginal_mean_MAT"))
+                            (measures, "cell_marginal_mean_MAT"),
+                            (cells, "_chain_path"))
         mean_width_mat(regular_simplex(d), 500, seed=1)
         assert calls["_reduced_directions"] == d + 1
         assert calls["cell_marginal_mean_MAT"] == 0
+        assert calls["_chain_path"] == d + 1  # one stacked call per cell
 
     def test_d5_against_monte_carlo(self):
         S = random_simplex(5, np.random.default_rng(50), feasible=True)
         est = mean_width_mat(S, 30_000, seed=51)
         mc = mean_width_mc(S, 1_000_000, seed=52)
         assert abs(est.value - mc.value) < 4 * np.hypot(est.std_error, mc.std_error)
+
+
+@st.composite
+def isometries(draw):
+    """Maps on vertex arrays: a vertex permutation, an orthogonal map Q, the
+    reflection Q diag(-1, 1, 1) (so every example has a reflection), and the
+    permutation followed by that reflection."""
+    perm = list(draw(st.permutations(range(4))))
+    Q = draw(orthogonal())
+    R = Q @ np.diag([-1.0, 1.0, 1.0])
+    return [lambda V: V[perm], lambda V: V @ Q.T, lambda V: V @ R.T,
+            lambda V: V[perm] @ R.T]
+
+
+class TestInvariance:
+    """Every width route and the complex's audit see the simplex, not its
+    labelling or position on the sphere."""
+
+    @PROPERTY
+    @given(V=simplices(), maps=isometries())
+    def test_exact3d_and_audit(self, V, maps):
+        try:
+            S = InscribedSimplex(V)
+            w = mean_width_exact3d(S).value
+            _, audit = cells.right_triangle_complex(S)
+            moved = [InscribedSimplex(f(V)) for f in maps]
+            results = [(mean_width_exact3d(T).value, cells.right_triangle_complex(T)[1])
+                       for T in moved]
+        except DegeneracyError:
+            assume(False)
+        for w_moved, audit_moved in results:
+            assert abs(w_moved - w) < 1e-12
+            assert audit_moved.sign_total == audit.sign_total
+            assert audit_moved.cover_holds == audit.cover_holds
+            assert audit_moved.all_ok == audit.all_ok
+
+    @PROPERTY
+    @given(V=simplices(), maps=isometries())
+    def test_sampled_routes_within_their_std_errors(self, V, maps):
+        # same seed on the moved simplex: the estimates differ only by
+        # sampling noise
+        try:
+            S = InscribedSimplex(V)
+            moved = [InscribedSimplex(f(V)) for f in maps]
+            estimates = [(route(S, 10_000, seed=3),
+                          [route(T, 10_000, seed=3) for T in moved])
+                         for route in (mean_width_mc, mean_width_mat)]
+        except DegeneracyError:
+            assume(False)
+        for est, others in estimates:
+            for other in others:
+                se = np.hypot(est.std_error, other.std_error)
+                assert abs(other.value - est.value) < 4 * se
 
 
 class TestRegularSimplex:
