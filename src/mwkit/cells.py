@@ -10,7 +10,9 @@ maximal chains and ``_chain_path`` turns any stack of them into signed path
 simplices, so ``maximal_chains``, the path simplex of a chain, the d = 3
 complex of 24 right triangles with its angle-sum audit and the pieces of
 ``width.mean_width_mat`` are the same objects.  The feasibility check reads
-the table too.
+the table too.  One normalized inverse gives the facet normals of a path
+simplex or of a stack of them, so ``gram_matrix``, ``adjacent_dihedral_angles``,
+the audit's angles and cell areas and MAT's pieces read the same normals.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 
 from .config import DEGENERACY_EPS, GLOBAL_EPS, INGEST_NORM_TOL
 from .measures import HalfspaceCell
-from .sphere import vertex_angle
 
 __all__ = [
     "DegeneracyError",
@@ -287,7 +288,6 @@ class SignedPathSimplex:
 
     vertices: np.ndarray  # shape (m, D), rows in path order
     sign: int
-    chain: tuple[frozenset, ...] | None = None
 
     def __post_init__(self):
         V = np.asarray(self.vertices, dtype=float)
@@ -299,31 +299,40 @@ class SignedPathSimplex:
 def gram_matrix(P) -> np.ndarray:
     """Angle Gram matrix N N^t for the unit inward facet normals of a simplex.
 
-    Accepts a SignedPathSimplex or an (m, D) vertex array; normals are the
-    rows of the inverse vertex matrix rescaled to unit norm (so each has
-    positive dot product with its opposite vertex).  Tridiagonal exactly when
-    the vertices form a path simplex.
+    Accepts a SignedPathSimplex, an (m, D) vertex array or an (..., m, D)
+    stack of them; normals are the rows of the inverse vertex matrix rescaled
+    to unit norm (so each has positive dot product with its opposite vertex).
+    Tridiagonal exactly when the vertices form a path simplex.
     """
     V = P.vertices if isinstance(P, SignedPathSimplex) else np.asarray(P, dtype=float)
-    m, D = V.shape
-    M = V.T  # columns are vertices
+    m, D = V.shape[-2:]
+    M = V.swapaxes(-1, -2)  # columns are vertices
     if D > m:
         # express in an orthonormal basis of the span; Gram is basis-invariant
-        q, r = np.linalg.qr(M)
-        M = r
-    if abs(np.linalg.det(M)) < GLOBAL_EPS:
+        M = np.linalg.qr(M)[1]
+    det = abs(np.linalg.det(M))
+    if (det.min() if det.ndim else det) < GLOBAL_EPS:
         raise DegeneracyError("vertex matrix is singular")
-    N = np.linalg.inv(M)  # row i is normal to the facet opposite p_i
-    N /= np.linalg.norm(N, axis=1, keepdims=True)
-    return N @ N.T
+    N = _unit_normals(M)
+    return N @ N.swapaxes(-1, -2)
+
+
+def _unit_normals(M: np.ndarray) -> np.ndarray:
+    """Rows of inv(M) at unit norm, one matrix or a stack: row i is the inward
+    normal of the facet opposite column i.  No singularity guard."""
+    N = np.linalg.inv(M)
+    N /= np.linalg.norm(N, axis=-1, keepdims=True)
+    return N
 
 
 def adjacent_dihedral_angles(P) -> np.ndarray:
-    """Dihedral angles between consecutive facets in path order,
-    theta_{i,i+1} = arccos(-G_{i,i+1}); m-1 values in (0, pi)."""
-    G = gram_matrix(P)
-    off = np.diagonal(G, offset=1)
-    return np.arccos(np.clip(-off, -1.0, 1.0))
+    """Dihedral angles between consecutive facets in path order, per simplex
+    of what ``gram_matrix`` accepts: theta_{i,i+1} = arccos(-G_{i,i+1})."""
+    return _dihedral_angles(gram_matrix(P))
+
+
+def _dihedral_angles(G: np.ndarray) -> np.ndarray:
+    return np.arccos(np.clip(-G.diagonal(1, -2, -1), -1.0, 1.0))
 
 
 def _side_sign(value: float, what: str) -> int:
@@ -423,7 +432,7 @@ def path_simplex_from_chain(S: InscribedSimplex, chain) -> SignedPathSimplex:
         raise ValueError("chain indices out of range")
     order = [*chain[0]] + [x for small, big in zip(chain, chain[1:]) for x in big - small]
     pts, sign = _chain_path(S._faces, order)
-    return SignedPathSimplex(pts, int(sign), chain=chain)
+    return SignedPathSimplex(pts, int(sign))
 
 
 def _chain_path(faces: _Faces, orders) -> tuple[np.ndarray, np.ndarray]:
@@ -443,12 +452,6 @@ def _chain_path(faces: _Faces, orders) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # The d = 3 complex of 24 right triangles
 # ---------------------------------------------------------------------------
-
-_PAIR_A, _PAIR_B = np.array(list(itertools.combinations(range(4), 2))).T
-# the two indices outside each pair: the complex face of pair (i, j) is the
-# arc between the triple points q_k, k not in {i, j}
-_PAIR_OTH = np.array([[x for x in range(4) if x not in p] for p in zip(_PAIR_A, _PAIR_B)])
-
 
 def _complex24_core(faces: _Faces):
     """Vectorized 24-triangle complex of a d=3 inscribed simplex, read from
@@ -470,13 +473,13 @@ def _complex24_core(faces: _Faces):
     return sigma, a, b, paths
 
 
-def _angles_between(at: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Vectorized interior angle at ``at`` between arcs toward y and z."""
-    t1 = y - np.einsum("kd,kd->k", y, at)[:, None] * at
-    t2 = z - np.einsum("kd,kd->k", z, at)[:, None] * at
-    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    t2 /= np.linalg.norm(t2, axis=1, keepdims=True)
-    return np.arccos(np.clip(np.einsum("kd,kd->k", t1, t2), -1.0, 1.0))
+def _triangle_angles(T: np.ndarray) -> np.ndarray:
+    """Interior angles of a stack of spherical triangles, vertex rows T: the
+    angle at vertex k is arccos(-G[i, j]), {i, j, k} = {0, 1, 2}, from the
+    unguarded ``gram_matrix`` G of the triangle."""
+    N = _unit_normals(T.swapaxes(-1, -2))
+    G = N @ N.swapaxes(-1, -2)
+    return np.arccos(np.clip(-G[..., [1, 0, 0], [2, 2, 1]], -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -530,25 +533,19 @@ def right_triangle_complex(S: InscribedSimplex):
     sigma, a, b, paths = _complex24_core(S._faces)
     q = S._faces.points[_top_masks(4)]  # q_l, the triple point excluding v_l
 
-    vi, m, qc = paths[:, 0], paths[:, 1], paths[:, 2]
-    ang_vertex = _angles_between(vi, m, qc)
-    ang_right = _angles_between(m, vi, qc)
-    ang_other = _angles_between(qc, m, vi)
-
+    # per triangle (v_i, m_ij, q): the angles at v_i, at m_ij (right) and at q
+    angles = _triangle_angles(paths)
     triangles = [SignedPathSimplex(P, int(s)) for P, s in zip(paths, sigma)]
 
     vertex_sums = np.zeros(4)
-    np.add.at(vertex_sums, _chain_orders(4)[:, 0], sigma * ang_vertex)
-    other_sum = float(np.sum(sigma * ang_other))
-    cell_areas = []
-    for i in range(4):
-        qa, qb, qcix = np.delete(q, i, axis=0)
-        s = vertex_angle(qa, qb, qcix) + vertex_angle(qb, qcix, qa) + vertex_angle(qcix, qa, qb)
-        cell_areas.append(s - np.pi)
-    cell_area_sum = float(sum(cell_areas))
+    np.add.at(vertex_sums, _chain_orders(4)[:, 0], sigma * angles[:, 0])
+    other_sum = float(np.sum(sigma * angles[:, 2]))
+    # cell i is the triangle of the q_l with l != i; Girard: angle sum - pi
+    corners = np.stack([np.delete(q, i, axis=0) for i in range(4)])
+    cell_area_sum = float(np.sum(_triangle_angles(corners)) - 4 * np.pi)
 
     cover = bool(np.min(np.max(q @ V.T, axis=1)) >= -GLOBAL_EPS)
-    max_angle = float(max(ang_vertex.max(), ang_right.max(), ang_other.max()))
+    max_angle = float(angles.max())
     sign_total = int(np.sum(sigma))
     total_vertex = float(vertex_sums.sum())
     other_target = cell_area_sum + (np.pi / 2) * sign_total - total_vertex

@@ -23,9 +23,9 @@ import sys
 
 import numpy as np
 
-from .cells import (DegeneracyError, InscribedSimplex, feasibility_checks,
-                    gram_matrix, adjacent_dihedral_angles, maximal_chains,
-                    path_simplex_from_chain, right_triangle_complex)
+from .cells import (DegeneracyError, InscribedSimplex, _chain_orders,
+                    _chain_path, _dihedral_angles, feasibility_checks,
+                    gram_matrix, maximal_chains, right_triangle_complex)
 from .hessian import region_scan
 from .measures import HalfspaceCell, cell_marginal_mean_MAT, wallis_complete
 from .width import (mean_width_exact3d, mean_width_mat, mean_width_mc,
@@ -167,27 +167,23 @@ def cmd_decompose(args) -> int:
                 continue
             print(f"error: degenerate configuration: {exc}", file=sys.stderr)
             return _EXIT_DEGENERATE
-    return _EXIT_DEGENERATE
 
 
 def _decompose_run(S: InscribedSimplex, args) -> int:
-    entries = []
-    for chain in maximal_chains(S.d):
-        P = path_simplex_from_chain(S, chain)
-        G = gram_matrix(P)
-        entries.append({
-            "chain": [sorted(Q) for Q in chain],
-            "sign": P.sign,
-            "path_vertices": P.vertices.tolist(),
-            "gram": G.tolist(),
-            "dihedral_angles": adjacent_dihedral_angles(P).tolist(),
-        })
+    # every chain's path simplex, Gram matrix and dihedral angles in one stack
+    paths, signs = _chain_path(S._faces, _chain_orders(S.d + 1))
+    grams = gram_matrix(paths)
+    thetas = _dihedral_angles(grams)
+    entries = [{"chain": [sorted(Q) for Q in chain], "sign": int(sign),
+                "path_vertices": P.tolist(), "gram": G.tolist(),
+                "dihedral_angles": theta.tolist()}
+               for chain, sign, P, G, theta
+               in zip(maximal_chains(S.d), signs, paths, grams, thetas)]
     payload = {"d": S.d, "n_path_simplices": len(entries), "entries": entries}
     if S.d == 3:
         _, audit = right_triangle_complex(S)
         payload["audit"] = {**dataclasses.asdict(audit), "all_ok": audit.all_ok}
     if S.d == 4:
-        thetas = np.array([e["dihedral_angles"] for e in entries])
         payload["level_angle_sums"] = thetas.sum(axis=0).tolist()
     _dump_json(payload, args.out)
     return _EXIT_OK

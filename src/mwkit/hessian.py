@@ -74,7 +74,10 @@ def _f_unchecked(A, B):
 
 def gradient(A, B):
     """Analytic first partials (f_A, f_B)."""
-    a, b = intermediate_ab(A, B)
+    return _first_partials(*intermediate_ab(A, B))
+
+
+def _first_partials(a, b):
     sa, ca = np.sin(a), np.cos(a)
     sb, cb = np.sin(b), np.cos(b)
     f_A = 1.0 + a * ca * cb ** 2 / sa
@@ -189,7 +192,7 @@ def _hessian_arrays(A, B):
     B = np.asarray(B, dtype=float)
     a, b = intermediate_ab(A, B)
     f = a * np.sin(b)
-    f_A, f_B = gradient(A, B)
+    f_A, f_B = _first_partials(a, b)
     f_AA, f_AB, f_BB = _second_partials(a, b)
     det = f_AA * f_BB - f_AB ** 2
     red = reduced_det_value(a)
@@ -266,26 +269,30 @@ def _fd_hessian_entries(A, B, h):
     return tuple((4 * b - a) / 3 for a, b in zip(c1, c2))
 
 
-def region_scan(grid_n: int, margin: float = 1e-4, fd_step: float = 1e-4,
-                fd_margin: float = 0.02) -> ScanReport:
+_SCAN_MARGIN = 1e-4  # the grid's distance from the boundary of R
+_FD_STEP = 1e-4      # finite-difference step of the Hessian comparison
+_FD_MARGIN = 0.02    # distance from the boundary where the stencil stays in R
+
+
+def region_scan(grid_n: int) -> ScanReport:
     """Evaluate the analytic Hessian on a grid over the open positive quadrant
     of R and count sign violations; finite-difference comparison is done on
-    the subset at distance fd_margin from the boundary where the stencil is
+    the subset at distance _FD_MARGIN from the boundary where the stencil is
     valid."""
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
-    ax = np.linspace(margin, np.pi / 2 - margin, grid_n)
+    ax = np.linspace(_SCAN_MARGIN, np.pi / 2 - _SCAN_MARGIN, grid_n)
     A, B = (c.ravel() for c in np.meshgrid(ax, ax))
-    keep = np.cos(A) ** 2 + np.cos(B) ** 2 < 1.0 - margin
+    keep = np.cos(A) ** 2 + np.cos(B) ** 2 < 1.0 - _SCAN_MARGIN
     A, B = A[keep], B[keep]
     vals = _hessian_arrays(A, B)
 
-    safe = ((np.cos(A) ** 2 + np.cos(B) ** 2 < 1.0 - fd_margin)
-            & (A < np.pi / 2 - fd_margin) & (B < np.pi / 2 - fd_margin)
-            & (A > fd_margin) & (B > fd_margin))
+    safe = ((np.cos(A) ** 2 + np.cos(B) ** 2 < 1.0 - _FD_MARGIN)
+            & (A < np.pi / 2 - _FD_MARGIN) & (B < np.pi / 2 - _FD_MARGIN)
+            & (A > _FD_MARGIN) & (B > _FD_MARGIN))
     fd_gap = np.full(A.shape, np.nan)
     if np.any(safe):
-        hAA, hAB, hBB = _fd_hessian_entries(A[safe], B[safe], fd_step)
+        hAA, hAB, hBB = _fd_hessian_entries(A[safe], B[safe], _FD_STEP)
         gap = np.maximum.reduce([np.abs(hAA - vals["f_AA"][safe]),
                                  np.abs(hAB - vals["f_AB"][safe]),
                                  np.abs(hBB - vals["f_BB"][safe])])

@@ -15,9 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cells import (_PAIR_A, _PAIR_B, _PAIR_OTH, DegeneracyError,
-                    InscribedSimplex, _chain_orders, _chain_path,
-                    _complex24_core, _face_table, _facet_normals)
+from .cells import (DegeneracyError, InscribedSimplex, _chain_orders,
+                    _chain_path, _complex24_core, _face_table, _facet_normals,
+                    _unit_normals, random_simplex)
 from .cells import cell_vertex  # noqa: F401  the benchmark's trace test wraps it
 from .measures import (HalfspaceCell, _mat_prefactor, _reduced_cell,
                        _reduced_directions, _reduced_integrand)
@@ -123,6 +123,10 @@ def _exact3d_value(V: np.ndarray) -> float:
     return _complex24_width(*_complex24_core(_face_table(V))[:3])
 
 
+_PAIR_A, _PAIR_B = np.triu_indices(4, 1)  # the six pairs i < j in lexicographic order
+# the two indices outside each pair: the Voronoi edge of pair (i, j) is the
+# arc between the facet normals n_k, k not in {i, j}
+_PAIR_OTH = np.array([[x for x in range(4) if x not in p] for p in zip(_PAIR_A, _PAIR_B)])
 # +1 at the first and -1 at the second vertex of each of the six pairs
 _PAIR_SIGN = np.zeros((4, 6))
 _PAIR_SIGN[_PAIR_A, np.arange(6)] = 1.0
@@ -208,8 +212,7 @@ def mean_width_mat(S: InscribedSimplex, n: int, seed: int) -> WidthEstimate:
     for i, orders in enumerate(_chain_orders(d + 1).reshape(d + 1, -1, d)):
         paths, signs = _chain_path(S._faces, orders)
         P = paths @ _rotation_to_e1(V[i]).T  # rotated path vertices, first is e1
-        N = np.linalg.inv(P.transpose(0, 2, 1))
-        N /= np.linalg.norm(N, axis=2, keepdims=True)
+        N = _unit_normals(P.transpose(0, 2, 1))
         theta = _reduced_directions(d, n, seed + i)
         G = np.zeros(n)
         for Nk, sign in zip(N, signs):
@@ -259,6 +262,9 @@ def regularity_metric(S: InscribedSimplex) -> float:
 
 @dataclass(frozen=True)
 class OptimizerState:
+    """One accepted ascent state.  width.std_error is 0: an exact width in
+    d = 3, and in d >= 4 the fixed-seed objective value, not an exact width."""
+
     simplex: InscribedSimplex
     width: WidthEstimate
     iteration: int
@@ -272,10 +278,13 @@ def _normalize_rows(V: np.ndarray) -> np.ndarray:
     return V / np.linalg.norm(V, axis=1, keepdims=True)
 
 
+_STEP0 = 0.2       # the ascent's first step; steps grow to at most 10 * _STEP0
+_MIN_STEP = 1e-13  # backtracking below this step ends the ascent
+
+
 def optimize_width(d: int, init="random", *, max_iter: int = 1000,
-                   step0: float = 0.2, tol: float = 1e-10, seed: int = 0,
-                   mc_samples: int = 100_000,
-                   min_step: float = 1e-13) -> list[OptimizerState]:
+                   tol: float = 1e-10, seed: int = 0,
+                   mc_samples: int = 100_000) -> list[OptimizerState]:
     """Projected gradient ascent of the mean width over inscribed simplices.
 
     d = 3 uses the exact width from the edge (Steiner) formula
@@ -289,7 +298,8 @@ def optimize_width(d: int, init="random", *, max_iter: int = 1000,
     gradient together; an accepted trial's gradient is the next step's
     direction.  Vertices are renormalized to the sphere after every step;
     steps that fail to improve, or whose simplex is flat, are backtracked.
-    Returns the trace of accepted states.
+    Returns the trace of accepted states; std_error 0 on a d >= 4 state
+    marks the fixed-seed objective value, not an exact width.
     """
     rng = np.random.default_rng(seed)
     if isinstance(init, InscribedSimplex):
@@ -297,7 +307,6 @@ def optimize_width(d: int, init="random", *, max_iter: int = 1000,
             raise ValueError("init simplex has the wrong dimension")
         V = init.vertices.copy()
     elif init == "random":
-        from .cells import random_simplex
         V = random_simplex(d, rng).vertices
     else:
         raise ValueError("init must be an InscribedSimplex or 'random'")
@@ -321,12 +330,12 @@ def optimize_width(d: int, init="random", *, max_iter: int = 1000,
             grad_norm=float(np.linalg.norm(grad)))
 
     w, grad = evaluate(V)
-    step = step0
+    step = _STEP0
     trace = [make_state(V, w, grad, 0, step, False)]
 
     for it in range(1, max_iter + 1):
         accepted = False
-        while step >= min_step:
+        while step >= _MIN_STEP:
             V_try = _normalize_rows(V + step * grad)
             try:
                 w_try, grad_try = evaluate(V_try)
@@ -341,7 +350,7 @@ def optimize_width(d: int, init="random", *, max_iter: int = 1000,
             break
         improvement = w_try - w
         V, w, grad = V_try, w_try, grad_try
-        step = min(step * 1.5, 10.0 * step0)
+        step = min(step * 1.5, 10.0 * _STEP0)
         converged = bool(improvement < tol)  # numpy bool in d >= 4 breaks JSON output
         trace.append(make_state(V, w, grad, it, step, converged))
         if converged:

@@ -11,7 +11,7 @@ from mwkit import (DegeneracyError, InscribedSimplex, adjacent_dihedral_angles,
                    cell_vertex, decompose_simplex, equidistant_point,
                    feasibility_checks, gram_matrix, maximal_chains,
                    path_simplex_from_chain, random_simplex,
-                   right_triangle_complex, voronoi_cells)
+                   right_triangle_complex, vertex_angle, voronoi_cells)
 from mwkit import cells as mwcells
 from mwkit.width import regular_simplex
 
@@ -256,6 +256,43 @@ class TestChainConsistency:
         assert np.array_equal(stacked_signs.ravel(), signs)
 
 
+class TestStackedGram:
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_stack_is_path_by_path(self, d):
+        # one call over a stack of path simplices gives, bit for bit, what one
+        # call per path gives
+        S = random_simplex(d, np.random.default_rng(70 + d))
+        paths, _ = mwcells._chain_path(S._faces, mwcells._chain_orders(d + 1))
+        G = gram_matrix(paths)
+        theta = adjacent_dihedral_angles(paths)
+        assert G.shape == (len(paths), d, d) and theta.shape == (len(paths), d - 1)
+        for P, G1, theta1 in zip(paths, G, theta):
+            assert np.array_equal(gram_matrix(P), G1)
+            assert np.array_equal(adjacent_dihedral_angles(P), theta1)
+        blocks = paths.reshape(d + 1, -1, d, d)
+        assert np.array_equal(gram_matrix(blocks).reshape(G.shape), G)
+        assert np.array_equal(adjacent_dihedral_angles(blocks).reshape(theta.shape),
+                              theta)
+
+    def test_stack_in_a_larger_space(self):
+        # m = 3 path vertices in R^4 take the QR branch
+        rng = np.random.default_rng(76)
+        pieces = decompose_simplex(sample_sphere(rng, 3, 4), sample_sphere(rng, 1, 4)[0])
+        G = gram_matrix(np.array([p.vertices for p in pieces]))
+        assert G.shape == (6, 3, 3)
+        for p, G1 in zip(pieces, G):
+            assert np.array_equal(gram_matrix(p), G1)
+
+    def test_singular_member_raises(self):
+        S = random_simplex(4, np.random.default_rng(77))
+        paths, _ = mwcells._chain_path(S._faces, mwcells._chain_orders(5))
+        paths[7, 2] = paths[7, 1]
+        with pytest.raises(DegeneracyError):
+            gram_matrix(paths)
+        with pytest.raises(DegeneracyError):
+            adjacent_dihedral_angles(paths)
+
+
 class TestRightTriangleComplex:
     def test_regular_tetrahedron(self):
         # all 24 triangles congruent: vertex angle pi/3, legs arccos(1/sqrt 3)
@@ -282,6 +319,34 @@ class TestRightTriangleComplex:
             assert audit.all_ok
             assert np.max(np.abs(audit.vertex_angle_sums - 2 * np.pi)) < 1e-9
             assert abs(audit.total_vertex_angle_sum - 8 * np.pi) < 1e-9
+
+    def test_angles_and_areas_are_vertex_angles(self):
+        # the Gram-matrix angles of the audit against tangent-vector angles,
+        # on simplices with and without overshooting (negative) triangles
+        rng = np.random.default_rng(31)
+        negative = 0
+        for feasible in (True, False) * 10:
+            S = random_simplex(3, rng, feasible=feasible)
+            triangles, audit = right_triangle_complex(S)
+            T = np.array([t.vertices for t in triangles])
+            sigma = np.array([t.sign for t in triangles])
+            negative += np.sum(sigma < 0)
+            ref = np.array([[vertex_angle(v, m, q), vertex_angle(m, q, v),
+                             vertex_angle(q, v, m)] for v, m, q in T])
+            assert np.max(np.abs(mwcells._triangle_angles(T) - ref)) < 1e-12
+            sums = [np.sum(sigma[6 * i:6 * i + 6] * ref[6 * i:6 * i + 6, 0])
+                    for i in range(4)]
+            assert np.max(np.abs(audit.vertex_angle_sums - sums)) < 1e-12
+            assert abs(audit.other_angle_sum - np.sum(sigma * ref[:, 2])) < 1e-12
+            assert abs(audit.max_angle - ref.max()) < 1e-12
+            area = 0.0
+            for i in range(4):
+                a, b, c = (cell_vertex(S, Q) for Q in itertools.combinations(range(4), 3)
+                           if i in Q)
+                area += vertex_angle(a, b, c) + vertex_angle(b, c, a) \
+                    + vertex_angle(c, a, b) - np.pi
+            assert abs(audit.cell_area_sum - area) < 1e-12
+        assert negative > 0
 
     def test_squeezed_tetrahedron_fails_cover(self):
         # all vertices inside a small cap: hemisphere cover impossible

@@ -146,6 +146,35 @@ class TestDecomposeCommand:
         p.write_text(json.dumps({"d": 3, "vertices": V.tolist(), "metadata": {}}))
         assert main(["decompose", str(p)]) == 4
 
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_one_stacked_chain_and_gram_call(self, d, tmp_path, monkeypatch, capsys):
+        S = random_simplex(d, np.random.default_rng(40 + d), feasible=True)
+        path = write_simplex(tmp_path / "s.json", S)
+        calls = count_calls(monkeypatch, (cells, "_chain_path"),
+                            (cells, "gram_matrix"))
+        assert main(["decompose", path]) == 0
+        # in d = 3 the audit reads the 24-triangle complex through its own call
+        assert calls["_chain_path"] == 1 + (d == 3)
+        assert calls["gram_matrix"] == 1
+
+    @pytest.mark.parametrize("d, feasible", [(3, True), (3, False), (4, True),
+                                             (4, False), (5, True)])
+    def test_entries_are_the_per_chain_api(self, d, feasible, tmp_path, capsys):
+        # the stacked payload equals, bit for bit, one public call per chain
+        S = random_simplex(d, np.random.default_rng(60 + d), feasible=feasible)
+        assert main(["decompose", write_simplex(tmp_path / "s.json", S)]) == 0
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        chains = cells.maximal_chains(d)
+        assert len(entries) == len(chains)
+        for e, chain in zip(entries, chains):
+            P = cells.path_simplex_from_chain(S, chain)
+            assert e["chain"] == [sorted(Q) for Q in chain]
+            assert e["sign"] == P.sign
+            assert np.array_equal(e["path_vertices"], P.vertices)
+            assert np.array_equal(e["gram"], cells.gram_matrix(P))
+            assert np.array_equal(e["dihedral_angles"],
+                                  cells.adjacent_dihedral_angles(P))
+
     def test_degenerate_with_jiggle(self, tmp_path, capsys):
         V = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]])
         p = tmp_path / "deg.json"
