@@ -1,7 +1,7 @@
-"""Gradient ascent of the mean width over inscribed tetrahedra.
+"""Ascent of the mean width over inscribed tetrahedra.
 
-Starts from random inscribed tetrahedra and runs projected gradient ascent
-with the exact width objective.  Every run lands on the regular tetrahedron,
+Starts from random inscribed tetrahedra and runs the Riemannian BFGS ascent
+on the exact width objective.  Every run lands on the regular tetrahedron,
 whose mean width (6/pi) arccos(1/sqrt 3) sqrt(2/3) ~ 1.4897 is the maximum.
 """
 

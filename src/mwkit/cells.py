@@ -475,11 +475,14 @@ def _complex24_core(faces: _Faces):
 
 def _triangle_angles(T: np.ndarray) -> np.ndarray:
     """Interior angles of a stack of spherical triangles, vertex rows T: the
-    angle at vertex k is arccos(-G[i, j]), {i, j, k} = {0, 1, 2}, from the
-    unguarded ``gram_matrix`` G of the triangle."""
+    angle at vertex k is the angle between the unit inward normals n_i and
+    -n_j, {i, j, k} = {0, 1, 2}, taken as 2 atan2(|n_i + n_j|, |n_i - n_j|)
+    (Kahan), which keeps full precision near 0 and pi where
+    arccos(-n_i . n_j) does not.  No singularity guard."""
     N = _unit_normals(T.swapaxes(-1, -2))
-    G = N @ N.swapaxes(-1, -2)
-    return np.arccos(np.clip(-G[..., [1, 0, 0], [2, 2, 1]], -1.0, 1.0))
+    a, b = N[..., [1, 0, 0], :], N[..., [2, 2, 1], :]
+    return 2.0 * np.arctan2(np.linalg.norm(a + b, axis=-1),
+                            np.linalg.norm(a - b, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -529,14 +532,19 @@ def right_triangle_complex(S: InscribedSimplex):
     """
     if S.d != 3:
         raise ValueError("the 24-triangle complex is a d = 3 construction")
+    sigma, _, _, paths = _complex24_core(S._faces)
+    triangles = [SignedPathSimplex(P, int(s)) for P, s in zip(paths, sigma)]
+    return triangles, _complex24_audit(S, sigma, paths)
+
+
+def _complex24_audit(S: InscribedSimplex, sigma, paths) -> ComplexAudit:
+    """The audit of ``right_triangle_complex`` from the signs and paths that
+    ``_complex24_core`` returns for S."""
     V = S.vertices
-    sigma, a, b, paths = _complex24_core(S._faces)
     q = S._faces.points[_top_masks(4)]  # q_l, the triple point excluding v_l
 
     # per triangle (v_i, m_ij, q): the angles at v_i, at m_ij (right) and at q
     angles = _triangle_angles(paths)
-    triangles = [SignedPathSimplex(P, int(s)) for P, s in zip(paths, sigma)]
-
     vertex_sums = np.zeros(4)
     np.add.at(vertex_sums, _chain_orders(4)[:, 0], sigma * angles[:, 0])
     other_sum = float(np.sum(sigma * angles[:, 2]))
@@ -550,7 +558,7 @@ def right_triangle_complex(S: InscribedSimplex):
     total_vertex = float(vertex_sums.sum())
     other_target = cell_area_sum + (np.pi / 2) * sign_total - total_vertex
 
-    audit = ComplexAudit(
+    return ComplexAudit(
         vertex_angle_sums=vertex_sums,
         total_vertex_angle_sum=total_vertex,
         other_angle_sum=other_sum,
@@ -564,7 +572,6 @@ def right_triangle_complex(S: InscribedSimplex):
         other_ok=abs(other_sum - other_target) < _AUDIT_TOL,
         angles_ok=max_angle <= np.pi / 2 + _AUDIT_TOL,
     )
-    return triangles, audit
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ import sys
 import numpy as np
 
 from .cells import (DegeneracyError, InscribedSimplex, _chain_orders,
-                    _chain_path, _dihedral_angles, feasibility_checks,
-                    gram_matrix, maximal_chains, right_triangle_complex)
+                    _chain_path, _complex24_audit, _complex24_core,
+                    _dihedral_angles, feasibility_checks, gram_matrix,
+                    maximal_chains)
 from .hessian import region_scan
 from .measures import HalfspaceCell, cell_marginal_mean_MAT, wallis_complete
 from .width import (mean_width_exact3d, mean_width_mat, mean_width_mc,
@@ -170,8 +171,13 @@ def cmd_decompose(args) -> int:
 
 
 def _decompose_run(S: InscribedSimplex, args) -> int:
-    # every chain's path simplex, Gram matrix and dihedral angles in one stack
-    paths, signs = _chain_path(S._faces, _chain_orders(S.d + 1))
+    # every chain's path simplex, Gram matrix and dihedral angles in one
+    # stack; in d = 3 the chains are the 24-triangle complex, read once for
+    # the entries and the audit
+    if S.d == 3:
+        signs, _, _, paths = _complex24_core(S._faces)
+    else:
+        paths, signs = _chain_path(S._faces, _chain_orders(S.d + 1))
     grams = gram_matrix(paths)
     thetas = _dihedral_angles(grams)
     entries = [{"chain": [sorted(Q) for Q in chain], "sign": int(sign),
@@ -181,7 +187,7 @@ def _decompose_run(S: InscribedSimplex, args) -> int:
                in zip(maximal_chains(S.d), signs, paths, grams, thetas)]
     payload = {"d": S.d, "n_path_simplices": len(entries), "entries": entries}
     if S.d == 3:
-        _, audit = right_triangle_complex(S)
+        audit = _complex24_audit(S, signs, paths)
         payload["audit"] = {**dataclasses.asdict(audit), "all_ok": audit.all_ok}
     if S.d == 4:
         payload["level_angle_sums"] = thetas.sum(axis=0).tolist()

@@ -257,13 +257,15 @@ def regularity_metric(S: InscribedSimplex) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Projected gradient ascent
+# Ascent on the product of spheres
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class OptimizerState:
     """One accepted ascent state.  width.std_error is 0: an exact width in
-    d = 3, and in d >= 4 the fixed-seed objective value, not an exact width."""
+    d = 3, and in d >= 4 the fixed-seed objective value, not an exact width.
+    In d = 3 step_size is the accepted Armijo step (0 at the start), and
+    converged marks |grad| < tol or a stop at round-off (optimize_width)."""
 
     simplex: InscribedSimplex
     width: WidthEstimate
@@ -278,28 +280,30 @@ def _normalize_rows(V: np.ndarray) -> np.ndarray:
     return V / np.linalg.norm(V, axis=1, keepdims=True)
 
 
-_STEP0 = 0.2       # the ascent's first step; steps grow to at most 10 * _STEP0
-_MIN_STEP = 1e-13  # backtracking below this step ends the ascent
+_STEP0 = 0.2       # the first step along the gradient; MC steps grow to at most 10 * _STEP0
+_MIN_STEP = 1e-13  # MC route: backtracking below this step ends the ascent
+_ARMIJO = 1e-4     # exact route: the line search's sufficient-increase constant
+_EPS = float(np.finfo(float).eps)
 
 
 def optimize_width(d: int, init="random", *, max_iter: int = 1000,
                    tol: float = 1e-10, seed: int = 0,
                    mc_samples: int = 100_000) -> list[OptimizerState]:
-    """Projected gradient ascent of the mean width over inscribed simplices.
+    """Ascent of the mean width over inscribed simplices; returns the trace
+    of accepted states.
 
     d = 3 uses the exact width from the edge (Steiner) formula
     w = (1/4pi) sum_edges |v_i - v_j| l_ij, l_ij = pi - theta_ij the arc
     between the outward normals of the two facets at edge ij (Schneider,
     Convex Bodies, section 4.2), and its closed-form gradient
-    (1/4pi) sum_j l_ij (v_i - v_j)/|v_i - v_j|.  Higher d uses
-    common-random-numbers Monte Carlo with a fixed seed, so ascent decisions
-    are stable, and the exact derivative of that fixed-seed objective from the
-    same samples.  Each trial point is evaluated once, for the value and the
-    gradient together; an accepted trial's gradient is the next step's
-    direction.  Vertices are renormalized to the sphere after every step;
-    steps that fail to improve, or whose simplex is flat, are backtracked.
-    Returns the trace of accepted states; std_error 0 on a d >= 4 state
-    marks the fixed-seed objective value, not an exact width.
+    (1/4pi) sum_j l_ij (v_i - v_j)/|v_i - v_j|, in a Riemannian BFGS ascent
+    (``_bfgs_ascent``) that stops when |grad| < tol, so tol bounds the
+    gradient there, or when no Armijo step raises w measurably.  Higher d
+    uses common-random-numbers Monte Carlo with a fixed seed and the exact
+    derivative of that fixed-seed objective from the same samples, in a
+    step-growing gradient ascent that stops when the gain falls below tol.
+    Each trial point is validated once, as the InscribedSimplex its state
+    keeps, and evaluated once, for the value and the gradient together.
     """
     rng = np.random.default_rng(seed)
     if isinstance(init, InscribedSimplex):
@@ -311,48 +315,89 @@ def optimize_width(d: int, init="random", *, max_iter: int = 1000,
     else:
         raise ValueError("init must be an InscribedSimplex or 'random'")
 
-    if d == 3:
-        evaluate = _exact3d_width_and_gradient
-        method = "exact3d"
-    else:
-        obj_seed = int(rng.integers(2 ** 31))
+    method = "exact3d" if d == 3 else "monte_carlo"
+    obj_seed = None if d == 3 else int(rng.integers(2 ** 31))
 
-        def evaluate(W):
-            InscribedSimplex(W)  # a degenerate trial raises and is backtracked
-            return _mc_width_and_gradient(W, mc_samples, obj_seed)
-        method = "monte_carlo"
+    def trial(W):
+        S = InscribedSimplex(W)  # a flat trial raises DegeneracyError
+        if d == 3:
+            return (S, *_exact3d_width_and_gradient(W))
+        return (S, *_mc_width_and_gradient(W, mc_samples, obj_seed))
 
-    def make_state(W, w, grad, it, step, converged):
-        S = InscribedSimplex(W.copy())
+    def make_state(S, w, grad, it, step, converged):
         return OptimizerState(
             simplex=S, width=WidthEstimate(w, 0.0, method), iteration=it,
             step_size=step, regularity=regularity_metric(S), converged=converged,
             grad_norm=float(np.linalg.norm(grad)))
 
-    w, grad = evaluate(V)
+    S, w, grad = trial(V)
+    if d == 3:
+        return _bfgs_ascent(trial, make_state, S, w, grad, max_iter, tol)
     step = _STEP0
-    trace = [make_state(V, w, grad, 0, step, False)]
-
+    trace = [make_state(S, w, grad, 0, step, False)]
     for it in range(1, max_iter + 1):
-        accepted = False
         while step >= _MIN_STEP:
-            V_try = _normalize_rows(V + step * grad)
             try:
-                w_try, grad_try = evaluate(V_try)
+                S_try, w_try, grad_try = trial(_normalize_rows(S.vertices + step * grad))
+                if w_try > w:
+                    break
             except DegeneracyError:
-                w_try = -np.inf
-            if w_try > w:
-                accepted = True
-                break
+                pass
             step /= 2.0
-        if not accepted:
-            trace.append(make_state(V, w, grad, it, step, True))
+        else:
+            trace.append(make_state(S, w, grad, it, step, True))
             break
-        improvement = w_try - w
-        V, w, grad = V_try, w_try, grad_try
+        converged = bool(w_try - w < tol)  # numpy bool in d >= 4 breaks JSON output
+        S, w, grad = S_try, w_try, grad_try
         step = min(step * 1.5, 10.0 * _STEP0)
-        converged = bool(improvement < tol)  # numpy bool in d >= 4 breaks JSON output
-        trace.append(make_state(V, w, grad, it, step, converged))
+        trace.append(make_state(S, w, grad, it, step, converged))
         if converged:
             break
+    return trace
+
+
+def _bfgs_ascent(trial, make_state, S, w, grad, max_iter, tol):
+    """BFGS on the product of spheres (Absil, Mahony and Sepulchre, ch. 8;
+    Nocedal and Wright, section 6.1) from the evaluated start S: direction
+    H g, or _STEP0 g at the start and whenever H g is no ascent direction
+    (which resets H); Armijo steps from t = 1, halved only while the
+    predicted gain t g.p exceeds round-off, eps w; tangent projection P at
+    the new point as the vector transport (H <- P H P, s and y projected);
+    the first H is (s.y / y.y) P, and a pair with s.y <= 0 is skipped."""
+    n, d = grad.shape
+    eye, blocks = np.eye(n * d), np.kron(np.eye(n), np.ones((d, d)))
+    H, converged = None, bool(np.linalg.norm(grad) < tol)
+    trace = [make_state(S, w, grad, 0, 0.0, converged)]
+    for it in range(1, max_iter + 1):
+        if converged:
+            break
+        g = grad.ravel()
+        p = _STEP0 * g if H is None else H @ g
+        if g @ p <= 0.0:  # no ascent direction: reset H
+            H, p = None, _STEP0 * g
+        slope, t = float(g @ p), 1.0
+        while t * slope > _EPS * w:
+            try:
+                S_try, w_try, grad_try = trial(_normalize_rows(S.vertices + t * p.reshape(n, d)))
+                if w_try >= w + _ARMIJO * t * slope:
+                    break
+            except DegeneracyError:
+                pass
+            t /= 2.0
+        else:  # at round-off: no step raises w measurably
+            trace.append(make_state(S, w, grad, it, t, True))
+            break
+        x = S_try.vertices.ravel()
+        P = eye - blocks * (x[:, None] * x)  # tangent projection at the new point
+        s, y = P @ (x - S.vertices.ravel()), P @ (g - grad_try.ravel())
+        sy = float(s @ y)
+        H = None if H is None else P @ H @ P
+        if sy > 0.0:
+            H = (sy / float(y @ y)) * P if H is None else H
+            Hy = H @ y
+            u = (sy + y @ Hy) / (2.0 * sy) * s - Hy
+            H = H + (s[:, None] * u + u[:, None] * s) / sy
+        S, w, grad = S_try, w_try, grad_try
+        converged = bool(np.linalg.norm(grad) < tol)
+        trace.append(make_state(S, w, grad, it, t, converged))
     return trace

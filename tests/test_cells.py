@@ -321,7 +321,7 @@ class TestRightTriangleComplex:
             assert abs(audit.total_vertex_angle_sum - 8 * np.pi) < 1e-9
 
     def test_angles_and_areas_are_vertex_angles(self):
-        # the Gram-matrix angles of the audit against tangent-vector angles,
+        # the normal-vector angles of the audit against tangent-vector angles,
         # on simplices with and without overshooting (negative) triangles
         rng = np.random.default_rng(31)
         negative = 0
@@ -347,6 +347,17 @@ class TestRightTriangleComplex:
                     + vertex_angle(c, a, b) - np.pi
             assert abs(audit.cell_area_sum - area) < 1e-12
         assert negative > 0
+
+    def test_near_pi_angle_keeps_full_precision(self):
+        # the widest triangle of the seed-31 complexes above, (v, m, q) with
+        # m and q nearly antipodal: its angle at v is pi - 1.3e-4.  The
+        # reference is a 40-digit mpmath value for these float rows; an arccos
+        # of the Gram entry is 1.2e-12 off it
+        T = np.array([
+            [-0.9997823253554238, -0.01595504094908998, 0.013443904760695282],
+            [-0.22079569212523467, 0.881068832362197, -0.41829053895450874],
+            [0.22079635685045204, -0.8810145431538419, 0.4184045214299135]])
+        assert abs(mwcells._triangle_angles(T)[0] - 3.1414637686636295) < 1e-14
 
     def test_squeezed_tetrahedron_fails_cover(self):
         # all vertices inside a small cap: hemisphere cover impossible

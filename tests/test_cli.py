@@ -153,8 +153,8 @@ class TestDecomposeCommand:
         calls = count_calls(monkeypatch, (cells, "_chain_path"),
                             (cells, "gram_matrix"))
         assert main(["decompose", path]) == 0
-        # in d = 3 the audit reads the 24-triangle complex through its own call
-        assert calls["_chain_path"] == 1 + (d == 3)
+        # in d = 3 the entries and the audit share the 24-triangle complex
+        assert calls["_chain_path"] == 1
         assert calls["gram_matrix"] == 1
 
     @pytest.mark.parametrize("d, feasible", [(3, True), (3, False), (4, True),

@@ -1,5 +1,5 @@
 """Mean-width evaluation (exact d=3, Monte Carlo, reduced integral) and the
-projected gradient ascent toward the regular simplex."""
+ascent toward the regular simplex."""
 
 import sys
 
@@ -236,9 +236,13 @@ class TestOptimizer:
         widths = [st.width.value for st in trace]
         assert all(b >= a for a, b in zip(widths, widths[1:]))
 
-    def test_warm_start(self):
+    def test_warm_start(self, monkeypatch):
+        # at the maximizer the gradient stop ends the ascent at once
+        calls = count_calls(monkeypatch, (width, "_exact3d_width_and_gradient"))
         trace = optimize_width(3, regular_simplex(3), max_iter=5)
         assert abs(trace[-1].width.value - regular_tetrahedron_width()) < 1e-9
+        assert trace[-1].converged
+        assert calls["_exact3d_width_and_gradient"] <= 2
 
     def test_init_dimension_check(self):
         with pytest.raises(ValueError):
@@ -256,7 +260,8 @@ class TestOptimizer:
                             (cells, "_complex24_core"),
                             (cells, "_facet_normals"),
                             (width, "_exact3d_width_and_gradient"))
-        optimize_width(3, "random", seed=12, max_iter=400)
+        for seed in (12, 13, 14):  # enough restarts to pass 20 evaluations
+            optimize_width(3, "random", seed=seed, max_iter=400)
         assert calls["_exact3d_width_and_gradient"] > 20
         assert calls["_facet_normals"] == calls["_exact3d_width_and_gradient"]
         assert calls["_face_table"] == 0 and calls["_complex24_core"] == 0
@@ -269,6 +274,30 @@ class TestOptimizer:
         assert calls["_mc_width_and_gradient"] > 5
         assert calls["_sphere_samples"] == calls["_mc_width_and_gradient"]
         assert calls["mean_width_mc"] == 0
+
+    def test_mc_route_trace_is_pinned(self):
+        # the d >= 4 Monte Carlo route's widths and steps, bit for bit
+        trace = optimize_width(4, "random", seed=11, max_iter=5, mc_samples=5_000)
+        assert [st.width.value for st in trace] == [
+            1.091985443005277, 1.113768814093996, 1.143680072728605,
+            1.1828390421868566, 1.230475498957585, 1.2818007811463676]
+        assert [st.step_size for st in trace] == [
+            0.2, 0.30000000000000004, 0.45000000000000007, 0.675,
+            1.0125000000000002, 1.5187500000000003]
+
+    def test_d3_ends_at_the_maximizer_to_round_off(self, monkeypatch):
+        # criterion 10's restarts: BFGS ends within round-off of the regular
+        # width, about 1e-8 regular, in a median of at most 15 evaluations
+        calls = count_calls(monkeypatch, (width, "_exact3d_width_and_gradient"))
+        counts = []
+        for seed in range(100, 120):
+            before = calls["_exact3d_width_and_gradient"]
+            final = optimize_width(3, "random", seed=seed, max_iter=500)[-1]
+            counts.append(calls["_exact3d_width_and_gradient"] - before)
+            assert final.converged
+            assert abs(final.width.value - regular_tetrahedron_width()) < 1e-14
+            assert final.regularity < 1e-7
+        assert np.median(counts) <= 15
 
     def test_trace_states_carry_their_own_value_and_gradient(self):
         # a gradient kept from an earlier point would show in grad_norm
