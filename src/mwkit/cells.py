@@ -10,9 +10,10 @@ maximal chains and ``_chain_path`` turns any stack of them into signed path
 simplices, so ``maximal_chains``, the path simplex of a chain, the d = 3
 complex of 24 right triangles with its angle-sum audit and the pieces of
 ``width.mean_width_mat`` are the same objects.  The feasibility check reads
-the table too.  One normalized inverse gives the facet normals of a path
-simplex or of a stack of them, so ``gram_matrix``, ``adjacent_dihedral_angles``,
-the audit's angles and cell areas and MAT's pieces read the same normals.
+the table too.  One normalized inverse, ``sphere._unit_normals``, gives the
+facet normals of a path simplex or of a stack of them, so ``gram_matrix``,
+``adjacent_dihedral_angles``, the audit's angles and cell areas and MAT's
+pieces read the same normals.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 from .config import DEGENERACY_EPS, GLOBAL_EPS, INGEST_NORM_TOL
 from .measures import HalfspaceCell
+from .sphere import _unit_normals
 
 __all__ = [
     "DegeneracyError",
@@ -315,14 +317,6 @@ def gram_matrix(P) -> np.ndarray:
         raise DegeneracyError("vertex matrix is singular")
     N = _unit_normals(M)
     return N @ N.swapaxes(-1, -2)
-
-
-def _unit_normals(M: np.ndarray) -> np.ndarray:
-    """Rows of inv(M) at unit norm, one matrix or a stack: row i is the inward
-    normal of the facet opposite column i.  No singularity guard."""
-    N = np.linalg.inv(M)
-    N /= np.linalg.norm(N, axis=-1, keepdims=True)
-    return N
 
 
 def adjacent_dihedral_angles(P) -> np.ndarray:

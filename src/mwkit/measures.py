@@ -4,6 +4,13 @@ Conventions.  ``mu`` always denotes the uniform *probability* measure on the
 sphere; every marginal-mean routine here is normalized against mu.  The one
 exception is ``centroid_brock``, which is stated for the steradian surface
 measure on S^2 (the two differ by a factor 4*pi).
+
+The closed forms for spherical triangles come from one moment identity, the
+spherical Minkowski relation: for a spherical simplex P in S^{d-1},
+int_P u dA = (1/(d-1)) sum_F vol_{d-2}(F) n_F with n_F the inward unit normal
+of facet F (the divergence theorem, since Delta u = -(d-1) u for linear u).
+``_moment`` evaluates it; ``triangle_marginal_mean`` and ``centroid_brock``
+read it.
 """
 
 from __future__ import annotations
@@ -14,7 +21,8 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .config import GLOBAL_EPS
-from .sphere import arc_length, orientation, spherical_triangle_area
+from .sphere import (_check_nondegenerate_triangle, _unit_normals, arc_length,
+                     spherical_triangle_area)
 
 __all__ = [
     "wallis_complete",
@@ -115,9 +123,7 @@ def cap_marginal_mean(d: int, r: float) -> MarginalMean:
 
 
 def _right_marginal_value(a: float, b: float) -> float:
-    # a sin(b) / (8 pi); valid for a in (0, pi), b in (0, pi/2]  (the
-    # closed-form integral continues across a = pi/2, which the altitude
-    # splitting of general triangles needs)
+    # a sin(b) / (8 pi); valid for a in (0, pi), b in (0, pi/2]
     return a * np.sin(b) / (8.0 * np.pi)
 
 
@@ -132,71 +138,36 @@ def right_triangle_marginal_mean(a: float, b: float) -> MarginalMean:
                         region=f"right_triangle(a={a}, b={b})")
 
 
-def triangle_marginal_mean(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> MarginalMean:
-    """M_A of a general spherical triangle by signed altitude splitting.
+def _moment(T: np.ndarray, face_volumes: np.ndarray) -> np.ndarray:
+    """int_T u dA (surface measure) of the spherical simplex with vertex rows
+    T in S^{d-1} by the moment identity: face_volumes @ N / (d - 1), N the
+    inward unit facet normals and face_volumes[i] the (d-2)-volume of the
+    facet opposite row i.  No degeneracy guard."""
+    return face_volumes @ _unit_normals(T.T) / (T.shape[0] - 1)
 
-    Drops the altitude from A onto the great circle of side a = BC and sums
-    the two signed right-triangle contributions; equals
-    a sin(b) sin(C) / (8 pi).
+
+def triangle_marginal_mean(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> MarginalMean:
+    """M_A of a general spherical triangle, A . _moment / (4 pi).
+
+    Equals a sin(b) sin(C) / (8 pi), with sides a = BC, b = CA and C the
+    angle at C.
     """
-    A, B, C = (np.asarray(v, dtype=float) for v in (A, B, C))
-    n = np.cross(B, C)
-    nn = np.linalg.norm(n)
-    if nn < GLOBAL_EPS:
-        raise ValueError("side BC degenerate")
-    n = n / nn
-    foot = A - np.dot(A, n) * n
-    fn = np.linalg.norm(foot)
-    if fn < GLOBAL_EPS:
-        # A is a pole of the BC circle: every foot works, take the side midpoint
-        mid = B + C
-        mn = np.linalg.norm(mid)
-        if mn < GLOBAL_EPS:
-            raise ValueError("side BC degenerate (antipodal endpoints)")
-        D = mid / mn
-    else:
-        D = foot / fn
-    h = arc_length(A, D)
-    if h < GLOBAL_EPS:
-        raise ValueError("degenerate: A lies on the great circle of BC")
-    # signed positions of B and C along the great circle, measured from D
-    t = np.cross(n, D)
-    ang_B = np.arctan2(np.dot(B, t), np.dot(B, D))
-    ang_C = np.arctan2(np.dot(C, t), np.dot(C, D))
-    if min(abs(ang_B), abs(ang_C)) < 1e-10:
-        raise ValueError("altitude foot coincides with B or C (measure-zero split)")
-    # the two right triangles ABD and ADC; signs opposite iff B, C on the
-    # same side of D (difference configuration)
-    s_B, s_C = np.sign(ang_B), np.sign(ang_C)
-    if s_B * s_C < 0 and abs(ang_B) + abs(ang_C) > np.pi:
-        # the minor arc BC contains the antipodal foot -D, not D: split there
-        # instead (altitude pi - h, base angles measured from -D)
-        m_B = _right_marginal_value(np.pi - abs(ang_B), np.pi - h)
-        m_C = _right_marginal_value(np.pi - abs(ang_C), np.pi - h)
-        total = m_B + m_C
-    else:
-        m_B = _right_marginal_value(abs(ang_B), h)
-        m_C = _right_marginal_value(abs(ang_C), h)
-        total = m_B + m_C if s_B * s_C < 0 else abs(m_B - m_C)
-    return MarginalMean(float(total), 0.0, region="triangle")
+    T = np.array([A, B, C], dtype=float)
+    _check_nondegenerate_triangle(*T)
+    m = _moment(T, arc_length(T[[1, 2, 0]], T[[2, 0, 1]]))  # sides a, b, c
+    return MarginalMean(float(T[0] @ m) / (4.0 * np.pi), 0.0, region="triangle")
 
 
 def centroid_brock(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Spherical centroid G (not unit) of triangle ABC, steradian measure.
 
-    2 [ABC] G = sum_cyc (B x C) a / sin a, with [ABC] the Girard area.  The
-    result satisfies G = (integral of X dA) / [ABC].
+    2 [ABC] G = sigma sum_cyc (B x C) a / sin a (Brock), with [ABC] the
+    Girard area and sigma the sign of det[A B C]; G = (integral of X dA) /
+    [ABC], read from ``_moment``.
     """
-    A, B, C = (np.asarray(v, dtype=float) for v in (A, B, C))
-    sigma = orientation(A, B, C)
-    if sigma == 0:
-        raise ValueError("degenerate triangle: vertices on a common great circle")
-    area = spherical_triangle_area(A, B, C)
-    total = np.zeros(3)
-    for X, Y, Z in ((A, B, C), (B, C, A), (C, A, B)):
-        s = arc_length(Y, Z)
-        total += np.cross(Y, Z) * (s / np.sin(s))
-    return sigma * total / (2.0 * area)
+    T = np.array([A, B, C], dtype=float)
+    area = spherical_triangle_area(*T)
+    return _moment(T, arc_length(T[[1, 2, 0]], T[[2, 0, 1]])) / area
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 Points are plain numpy arrays of unit Euclidean norm; ``unit_vector`` is the
 validating constructor.  All angle-valued results are in radians, areas in
 steradians.  Everything here is a pure function of its inputs.
+``_unit_normals`` is the one normalized inverse: the inward unit facet
+normals of a spherical simplex, or of a stack of them, for ``measures``,
+``cells`` and ``width``.
 """
 
 from __future__ import annotations
@@ -186,3 +189,11 @@ def spherical_triangle_area(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> floa
     _check_nondegenerate_triangle(A, B, C)
     s = vertex_angle(A, B, C) + vertex_angle(B, C, A) + vertex_angle(C, A, B)
     return float(s - np.pi)
+
+
+def _unit_normals(M: np.ndarray) -> np.ndarray:
+    """Rows of inv(M) at unit norm, one matrix or a stack: row i is the inward
+    normal of the facet opposite column i.  No singularity guard."""
+    N = np.linalg.inv(M)
+    N /= np.linalg.norm(N, axis=-1, keepdims=True)
+    return N

@@ -17,10 +17,11 @@ import numpy as np
 
 from .cells import (DegeneracyError, InscribedSimplex, _chain_orders,
                     _chain_path, _complex24_core, _face_table, _facet_normals,
-                    _unit_normals, random_simplex)
+                    random_simplex)
 from .cells import cell_vertex  # noqa: F401  the benchmark's trace test wraps it
 from .measures import (HalfspaceCell, _mat_prefactor, _reduced_cell,
                        _reduced_directions, _reduced_integrand)
+from .sphere import _unit_normals
 
 __all__ = [
     "WidthEstimate",

@@ -17,10 +17,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mwkit import (DegeneracyError, InscribedSimplex, mean_width_exact3d,
-                   mean_width_mat, mean_width_mc, random_simplex,
-                   regular_simplex, width)
+from mwkit import (DegeneracyError, InscribedSimplex, arc_length,
+                   mean_width_exact3d, mean_width_mat, mean_width_mc,
+                   random_simplex, regular_simplex, width)
 from mwkit import cells
+from mwkit.measures import _moment
 
 # A fixed example sequence, so the suite gives the same verdict on every run.
 # Coordinate draws favour structured values (zeros, axis vectors), which is
@@ -116,6 +117,19 @@ class TestEdgeFormulaD3:
         _, G_perm = width._exact3d_width_and_gradient(V[list(perm)])
         assert np.max(np.abs(G_rot - G @ Q.T)) < 1e-13
         assert np.max(np.abs(G_perm - G[list(perm)])) < 1e-13
+
+    def test_gradient_is_the_cell_moment(self):
+        # dw/dv_i = (1/2pi) int_{cell i} u dA in the tangent space at v_i; a
+        # Voronoi cell is a normal cone, so a convex triangle of three corners
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            S = random_simplex(3, rng)
+            _, G = width._exact3d_width_and_gradient(S.vertices)
+            corners = S._faces.points[cells._top_masks(4)]
+            for i, v in enumerate(S.vertices):
+                T = np.delete(corners, i, axis=0)
+                m = _moment(T, arc_length(T[[1, 2, 0]], T[[2, 0, 1]]))
+                assert np.max(np.abs(G[i] - (m - (m @ v) * v) / (2.0 * np.pi))) < 1e-13
 
 
 class TestFacetNormals:

@@ -1,17 +1,20 @@
-"""Wallis integrals, cap measures, marginal means, the Brock centroid, and
-the reduced-integral cell evaluator."""
+"""Wallis integrals, cap measures, marginal means, the Brock centroid, the
+moment identity behind them, and the reduced-integral cell evaluator."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mwkit import (HalfspaceCell, cap_marginal_mean, cap_measure,
-                   cell_marginal_mean_MAT, centroid_brock,
+from mwkit import (HalfspaceCell, MarginalMean, arc_length, cap_marginal_mean,
+                   cap_measure, cell_marginal_mean_MAT, centroid_brock,
                    right_triangle_marginal_mean, solve_right_triangle,
-                   triangle_marginal_mean, wallis_complete, wallis_incomplete,
-                   wallis_table)
+                   spherical_triangle_area, triangle_marginal_mean,
+                   wallis_complete, wallis_incomplete, wallis_table)
+from mwkit.config import GLOBAL_EPS
+from mwkit.measures import _moment, _right_marginal_value
 
 
 def sample_sphere(rng, n, d=3):
@@ -25,6 +28,65 @@ def triangle_marginal_mc(A, B, C, axis, n, seed):
     u = sample_sphere(np.random.default_rng(seed), n)
     g = np.where(np.all(u @ N.T >= 0.0, axis=1), u @ axis, 0.0)
     return g.mean(), g.std(ddof=1) / np.sqrt(n)
+
+
+def altitude_split_marginal(A, B, C):
+    """M_A of a spherical triangle by signed altitude splitting, the reference
+    for ``triangle_marginal_mean``: drops the altitude from A onto the great
+    circle of side a = BC and sums the two signed right-triangle
+    contributions.  Raises ValueError when the right angle of a right
+    triangle sits at B or C (the foot coincides with a vertex)."""
+    A, B, C = (np.asarray(v, dtype=float) for v in (A, B, C))
+    n = np.cross(B, C)
+    nn = np.linalg.norm(n)
+    if nn < GLOBAL_EPS:
+        raise ValueError("side BC degenerate")
+    n = n / nn
+    foot = A - np.dot(A, n) * n
+    fn = np.linalg.norm(foot)
+    if fn < GLOBAL_EPS:
+        # A is a pole of the BC circle: every foot works, take the side midpoint
+        mid = B + C
+        mn = np.linalg.norm(mid)
+        if mn < GLOBAL_EPS:
+            raise ValueError("side BC degenerate (antipodal endpoints)")
+        D = mid / mn
+    else:
+        D = foot / fn
+    h = arc_length(A, D)
+    if h < GLOBAL_EPS:
+        raise ValueError("degenerate: A lies on the great circle of BC")
+    # signed positions of B and C along the great circle, measured from D
+    t = np.cross(n, D)
+    ang_B = np.arctan2(np.dot(B, t), np.dot(B, D))
+    ang_C = np.arctan2(np.dot(C, t), np.dot(C, D))
+    if min(abs(ang_B), abs(ang_C)) < 1e-10:
+        raise ValueError("altitude foot coincides with B or C (measure-zero split)")
+    # the two right triangles ABD and ADC; signs opposite iff B, C on the
+    # same side of D (difference configuration)
+    s_B, s_C = np.sign(ang_B), np.sign(ang_C)
+    if s_B * s_C < 0 and abs(ang_B) + abs(ang_C) > np.pi:
+        # the minor arc BC contains the antipodal foot -D, not D: split there
+        # instead (altitude pi - h, base angles measured from -D)
+        m_B = _right_marginal_value(np.pi - abs(ang_B), np.pi - h)
+        m_C = _right_marginal_value(np.pi - abs(ang_C), np.pi - h)
+        total = m_B + m_C
+    else:
+        m_B = _right_marginal_value(abs(ang_B), h)
+        m_C = _right_marginal_value(abs(ang_C), h)
+        total = m_B + m_C if s_B * s_C < 0 else abs(m_B - m_C)
+    return MarginalMean(float(total), 0.0, region="triangle")
+
+
+def random_triangles(seed, count, min_det=1e-3):
+    """``count`` seeded random spherical triangles (3, 3) with |det| >= min_det."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        T = sample_sphere(rng, 3)
+        if abs(np.linalg.det(T)) >= min_det:
+            out.append(T)
+    return out
 
 
 class TestWallis:
@@ -145,17 +207,14 @@ class TestTriangleMarginal:
 
     def test_identity_a_sinb_sinC(self):
         # 8 pi M_A = a sin b sin C for random triangles
-        from mwkit import arc_length, vertex_angle
+        from mwkit import vertex_angle
         rng = np.random.default_rng(4)
         count = 0
         while count < 100:
             A, B, C = sample_sphere(rng, 3)
             if abs(np.linalg.det(np.column_stack([A, B, C]))) < 1e-2:
                 continue
-            try:
-                m = triangle_marginal_mean(A, B, C).value
-            except ValueError:
-                continue
+            m = triangle_marginal_mean(A, B, C).value
             a = arc_length(B, C)
             b = arc_length(C, A)
             gamma = vertex_angle(C, A, B)
@@ -177,6 +236,20 @@ class TestTriangleMarginal:
         m = triangle_marginal_mean(e[2], e[0], e[1]).value
         mc, se = triangle_marginal_mc(e[2], e[0], e[1], e[2], 500_000, seed=3)
         assert abs(m - mc) < 3 * se
+
+    @pytest.mark.parametrize("a, b", [(np.pi / 2, np.pi / 2), (np.pi / 3, np.pi / 3),
+                                      (0.7, 0.5), (1.2, 0.4)])
+    def test_right_angle_at_B_or_C(self, a, b):
+        # the right angle at C, then at B: a sin b sin C / (8 pi) with sin C = 1
+        T = solve_right_triangle(a, b)
+        exact = right_triangle_marginal_mean(a, b).value
+        assert abs(triangle_marginal_mean(T.A, T.B, T.C).value - exact) < 1e-15
+        assert abs(triangle_marginal_mean(T.A, T.C, T.B).value - exact) < 1e-15
+
+    def test_matches_altitude_splitting(self):
+        for T in random_triangles(seed=26, count=1000):
+            m = triangle_marginal_mean(*T).value
+            assert abs(m - altitude_split_marginal(*T).value) < 1e-13
 
 
 class TestCentroidBrock:
@@ -205,10 +278,47 @@ class TestCentroidBrock:
         se = u[hit].std(axis=0, ddof=1) / np.sqrt(hit.sum())
         assert np.all(np.abs(G - mc) < 3 * se)
 
+    def test_matches_brock_sum(self):
+        # 2 [ABC] G = sigma sum_cyc (B x C) a / sin a, sigma the orientation
+        for T in random_triangles(seed=27, count=1000):
+            total = sum(np.cross(Y, Z) * arc_length(Y, Z) / np.sin(arc_length(Y, Z))
+                        for Y, Z in (T[[1, 2]], T[[2, 0]], T[[0, 1]]))
+            brock = np.sign(np.linalg.det(T)) * total / (2.0 * spherical_triangle_area(*T))
+            assert np.max(np.abs(centroid_brock(*T) - brock)) < 1e-12
+
     def test_degenerate(self):
         e = np.eye(3)
         with pytest.raises(ValueError):
             centroid_brock(e[0], e[1], (e[0] + e[1]) / np.sqrt(2.0))
+
+
+def facet_volumes(T):
+    """(d-2)-volumes of the facets of the spherical simplex with vertex rows T
+    in d = 3 or 4, entry i opposite row i: arcs, or triangle areas by Van
+    Oosterom-Strackee on the facet's Gram matrix G,
+    2 atan2(sqrt(det G), 1 + G01 + G02 + G12)."""
+    F = np.array([np.delete(T, i, axis=0) for i in range(len(T))])
+    G = F @ F.transpose(0, 2, 1)
+    if len(T) == 3:
+        return np.arccos(G[:, 0, 1])
+    return 2.0 * np.arctan2(np.sqrt(np.linalg.det(G)),
+                            1.0 + G[:, 0, 1] + G[:, 0, 2] + G[:, 1, 2])
+
+
+class TestMoment:
+    @pytest.mark.parametrize("d, seed", [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+    def test_vs_monte_carlo(self, d, seed):
+        # direct MC mean of sigma_{d-1} u 1{u in T}, per coordinate
+        rng = np.random.default_rng(seed)
+        T = sample_sphere(rng, d, d)
+        while abs(np.linalg.det(T)) < 0.1:
+            T = sample_sphere(rng, d, d)
+        n = 400_000
+        u = sample_sphere(rng, n, d)
+        sigma = 2.0 * np.pi ** (d / 2) / math.gamma(d / 2)
+        g = sigma * u * np.all(u @ np.linalg.inv(T) >= 0.0, axis=1)[:, None]
+        se = g.std(axis=0, ddof=1) / np.sqrt(n)
+        assert np.all(np.abs(_moment(T, facet_volumes(T)) - g.mean(axis=0)) < 4 * se)
 
 
 class TestHalfspaceCell:
