@@ -71,7 +71,7 @@ class InscribedSimplex:
         if V.ndim != 2 or V.shape[0] != V.shape[1] + 1 or V.shape[1] < 2:
             raise ValueError("vertices must be a (d+1, d) array with d >= 2")
         norms = np.linalg.norm(V, axis=1)
-        if np.max(np.abs(norms - 1.0)) > INGEST_NORM_TOL:
+        if not np.max(np.abs(norms - 1.0)) <= INGEST_NORM_TOL:
             raise ValueError("all vertices must lie on the unit sphere")
         _check_full_dimensional(V)
 
@@ -87,20 +87,22 @@ class InscribedSimplex:
 
 def _check_full_dimensional(V: np.ndarray) -> None:
     """Raise DegeneracyError when the d+1 rows of V span a flat simplex."""
-    if abs(np.linalg.det(V[1:] - V[0])) < DEGENERACY_EPS:
+    if not abs(np.linalg.det(V[1:] - V[0])) >= DEGENERACY_EPS:
         raise DegeneracyError("vertices are affinely dependent")
 
 
 def random_simplex(d: int, rng: np.random.Generator,
-                   feasible: bool = False, max_tries: int = 10_000) -> InscribedSimplex:
+                   feasible: bool = False) -> InscribedSimplex:
     """Random inscribed simplex; with ``feasible`` rejection-sample until the
     origin lies in the convex hull (which implies hemisphere cover)."""
-    for _ in range(max_tries):
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    for _ in range(10_000):
         V = rng.standard_normal((d + 1, d))
         V /= np.linalg.norm(V, axis=1, keepdims=True)
         try:
             S = InscribedSimplex(V)
-        except (ValueError, DegeneracyError):
+        except ValueError:  # DegeneracyError too
             continue
         if not feasible or _origin_in_hull(V):
             return S
@@ -572,7 +574,7 @@ def _complex24_audit(S: InscribedSimplex, sigma, paths) -> ComplexAudit:
 # Feasibility
 # ---------------------------------------------------------------------------
 
-def _origin_in_hull(V: np.ndarray, tol: float = GLOBAL_EPS) -> bool:
+def _origin_in_hull(V: np.ndarray) -> bool:
     A = np.vstack([V.T, np.ones(V.shape[0])])
     rhs = np.zeros(V.shape[0])
     rhs[-1] = 1.0
@@ -580,7 +582,7 @@ def _origin_in_hull(V: np.ndarray, tol: float = GLOBAL_EPS) -> bool:
         lam = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:
         return False
-    return bool(np.min(lam) >= -tol)
+    return bool(np.min(lam) >= -GLOBAL_EPS)
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,14 @@ optimization, and a cross-module self-test.
 Each subcommand takes only the options it reads (``build_parser``); any
 other option is an argparse usage error, exit 2.
 
-Exit codes: 0 ok, 1 self-test failure, 2 bad method/dimension or an
-out-of-range count (``--grid``, ``optimize --restarts``, ``--samples`` of
-``width --method mc`` and ``mat``, ``optimize`` and ``selftest``), also a
-method that cannot evaluate this input (``width --method mat`` when an
-orthoscheme piece is not a proper cell), 3 infeasible simplex,
-4 degeneracy, 5 I/O error.
+The library decides what input is valid; the commands repeat none of its
+checks, and ``main`` alone turns its errors into exit codes: 0 ok,
+1 self-test failure, 2 a ``ValueError`` from the library (a method that
+does not fit the dimension, an out-of-range count such as ``--grid`` or
+``--samples``, an orthoscheme piece that is not a proper cell) or
+``optimize --restarts`` below 1, 3 infeasible simplex, 4 a degeneracy
+(``DegeneracyError``), 5 an unwritable output, or a simplex file that
+cannot be read or is not a valid simplex (``load_simplex``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .width import (mean_width_exact3d, mean_width_mat, mean_width_mc,
 
 _EXIT_OK = 0
 _EXIT_SELFTEST = 1
-_EXIT_BAD_METHOD = 2
+_EXIT_BAD_INPUT = 2
 _EXIT_INFEASIBLE = 3
 _EXIT_DEGENERATE = 4
 _EXIT_IO = 5
@@ -55,12 +57,8 @@ def _json_default(obj):
 def _dump_json(payload, path=None):
     text = json.dumps(payload, indent=2, default=_json_default)
     if path:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-            raise SystemExit(_EXIT_IO)
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
     else:
         print(text)
 
@@ -128,30 +126,11 @@ def cmd_width(args) -> int:
         }))
         return _EXIT_INFEASIBLE
     if args.method == "exact3d":
-        if S.d != 3:
-            print(f"error: exact3d needs d=3, got d={S.d}", file=sys.stderr)
-            return _EXIT_BAD_METHOD
         est = mean_width_exact3d(S)
     elif args.method == "mc":
-        if args.samples < 1:
-            print("error: --samples must be >= 1", file=sys.stderr)
-            return _EXIT_BAD_METHOD
         est = mean_width_mc(S, args.samples, args.seed)
-    elif args.method == "mat":
-        if S.d < 3:
-            print(f"error: mat needs d>=3, got d={S.d}", file=sys.stderr)
-            return _EXIT_BAD_METHOD
-        try:
-            est = mean_width_mat(S, args.samples, args.seed)
-        except DegeneracyError:
-            raise
-        except ValueError as exc:
-            # --samples < 1, or an orthoscheme piece that is not a proper cell
-            print(f"error: mat cannot evaluate this simplex: {exc}", file=sys.stderr)
-            return _EXIT_BAD_METHOD
     else:
-        print(f"error: unknown method {args.method}", file=sys.stderr)
-        return _EXIT_BAD_METHOD
+        est = mean_width_mat(S, args.samples, args.seed)
     _dump_json({"value": est.value, "std_error": est.std_error,
                 "method": est.method}, args.out)
     return _EXIT_OK
@@ -159,15 +138,12 @@ def cmd_width(args) -> int:
 
 def cmd_decompose(args) -> int:
     S = load_simplex(args.simplex, args.auto_normalize)
-    for attempt in range(2):
+    if args.jiggle:
         try:
             return _decompose_run(S, args)
-        except DegeneracyError as exc:
-            if args.jiggle and attempt == 0:
-                S = _jiggle(S, args.seed)
-                continue
-            print(f"error: degenerate configuration: {exc}", file=sys.stderr)
-            return _EXIT_DEGENERATE
+        except DegeneracyError:
+            S = _jiggle(S, args.seed)
+    return _decompose_run(S, args)
 
 
 def _decompose_run(S: InscribedSimplex, args) -> int:
@@ -196,16 +172,9 @@ def _decompose_run(S: InscribedSimplex, args) -> int:
 
 
 def cmd_hessian(args) -> int:
-    if args.grid < 2:
-        print("error: --grid must be >= 2", file=sys.stderr)
-        return _EXIT_BAD_METHOD
     rep = region_scan(args.grid)
     if args.out:
-        try:
-            rep.to_csv(args.out)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return _EXIT_IO
+        rep.to_csv(args.out)
     print(json.dumps({
         "n_points": rep.n_points,
         "min_det_hess": rep.min_det_hess,
@@ -220,36 +189,23 @@ def cmd_hessian(args) -> int:
 def cmd_optimize(args) -> int:
     if args.restarts < 1:
         print("error: --restarts must be >= 1", file=sys.stderr)
-        return _EXIT_BAD_METHOD
-    if args.samples < 1:
-        print("error: --samples must be >= 1", file=sys.stderr)
-        return _EXIT_BAD_METHOD
-    best = None
+        return _EXIT_BAD_INPUT
     if args.init:
-        init = load_simplex(args.init, args.auto_normalize)
-        traces = [optimize_width(args.d, init, max_iter=args.max_iter,
-                                 tol=args.tol, seed=args.seed,
-                                 mc_samples=args.samples)]
+        starts = [(load_simplex(args.init, args.auto_normalize), args.seed)]
     else:
-        traces = [optimize_width(args.d, "random", max_iter=args.max_iter,
-                                 tol=args.tol, seed=args.seed + r,
-                                 mc_samples=args.samples)
-                  for r in range(args.restarts)]
-    for trace in traces:
-        if best is None or trace[-1].width.value > best[-1].width.value:
-            best = trace
+        starts = [("random", args.seed + r) for r in range(args.restarts)]
+    traces = [optimize_width(args.d, init, max_iter=args.max_iter, tol=args.tol,
+                             seed=seed, mc_samples=args.samples)
+              for init, seed in starts]
+    best = max(traces, key=lambda trace: trace[-1].width.value)
     final = best[-1]
     if args.out:
-        try:
-            with open(args.out, "w", newline="") as fh:
-                w = csv.writer(fh, lineterminator="\n")
-                w.writerow(["iteration", "width", "step", "regularity_metric"])
-                for st in best:
-                    w.writerow([st.iteration, _fmt(st.width.value),
-                                _fmt(st.step_size), _fmt(st.regularity)])
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return _EXIT_IO
+        with open(args.out, "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["iteration", "width", "step", "regularity_metric"])
+            for st in best:
+                w.writerow([st.iteration, _fmt(st.width.value),
+                            _fmt(st.step_size), _fmt(st.regularity)])
     doc = simplex_to_document(final.simplex, {
         "width": _fmt(final.width.value),
         "method": final.width.method,
@@ -275,9 +231,6 @@ def _octant_cell() -> HalfspaceCell:
 
 
 def cmd_selftest(args) -> int:
-    if args.samples < 1:
-        print("error: --samples must be >= 1", file=sys.stderr)
-        return _EXIT_BAD_METHOD
     failures = []
 
     # Wallis product and bounds
@@ -386,9 +339,15 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else _EXIT_IO
-    except DegeneracyError as exc:
+    except DegeneracyError as exc:  # a ValueError, so this branch comes first
         print(f"error: degenerate configuration: {exc}", file=sys.stderr)
         return _EXIT_DEGENERATE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_BAD_INPUT
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename}: {exc}", file=sys.stderr)
+        return _EXIT_IO
 
 
 if __name__ == "__main__":

@@ -108,7 +108,7 @@ class MarginalMean:
     region: str = ""
 
     def __post_init__(self):
-        if abs(self.value) > 1.0 + GLOBAL_EPS:
+        if not abs(self.value) <= 1.0 + GLOBAL_EPS:
             raise ValueError("a marginal mean cannot exceed 1 in absolute value")
 
 
@@ -190,19 +190,19 @@ class HalfspaceCell:
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ValueError("H must be square (d rows of inward normals)")
         norms = np.linalg.norm(H, axis=1)
-        if np.max(np.abs(norms - 1.0)) > GLOBAL_EPS:
+        if not np.max(np.abs(norms - 1.0)) <= GLOBAL_EPS:
             raise ValueError("rows of H must be unit vectors")
-        if abs(np.linalg.det(H)) < GLOBAL_EPS:
+        if not abs(np.linalg.det(H)) >= GLOBAL_EPS:
             raise ValueError("H is singular: not a proper simplex cell")
 
     @property
     def d(self) -> int:
         return self.H.shape[0]
 
-    def contains(self, u: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        """Membership H u >= -tol; u may be a single point or an (n, d) array."""
+    def contains(self, u: np.ndarray) -> np.ndarray:
+        """Membership H u >= 0; u may be a single point or an (n, d) array."""
         u = np.asarray(u, dtype=float)
-        return np.all(u @ self.H.T >= -tol, axis=-1)
+        return np.all(u @ self.H.T >= 0.0, axis=-1)
 
 
 @cache

@@ -31,13 +31,13 @@ __all__ = [
 ]
 
 
-def unit_vector(coords, norm_tol: float = GLOBAL_EPS) -> np.ndarray:
+def unit_vector(coords) -> np.ndarray:
     """Validate and return a point on S^{d-1} as a float ndarray."""
     v = np.asarray(coords, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise ValueError("unit vector needs a 1-d coordinate array with d >= 2")
-    if abs(np.linalg.norm(v) - 1.0) > norm_tol:
-        raise ValueError(f"vector norm {np.linalg.norm(v)!r} is not 1 within {norm_tol}")
+    if not abs(np.linalg.norm(v) - 1.0) <= GLOBAL_EPS:
+        raise ValueError(f"vector norm {np.linalg.norm(v)!r} is not 1 within {GLOBAL_EPS}")
     return v
 
 

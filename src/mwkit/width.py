@@ -48,7 +48,7 @@ class WidthEstimate:
     def __post_init__(self):
         if not (0.0 <= self.value <= 2.0 + 1e-9):
             raise ValueError("mean width of a body inside the unit ball is in [0, 2]")
-        if self.std_error < 0.0:
+        if not self.std_error >= 0.0:
             raise ValueError("std_error must be nonnegative")
         if self.method == "exact3d" and self.std_error != 0.0:
             raise ValueError("exact3d is deterministic")
@@ -306,6 +306,8 @@ def optimize_width(d: int, init="random", *, max_iter: int = 1000,
     Each trial point is validated once, as the InscribedSimplex its state
     keeps, and evaluated once, for the value and the gradient together.
     """
+    if mc_samples < 1:
+        raise ValueError("mc_samples must be >= 1")
     rng = np.random.default_rng(seed)
     if isinstance(init, InscribedSimplex):
         if init.d != d:

@@ -39,6 +39,20 @@ class TestInscribedSimplex:
         with pytest.raises((ValueError, DegeneracyError)):
             InscribedSimplex(V)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # the norm test runs before the determinant, so no numpy warning first
+        V = regular_simplex(3).vertices.copy()
+        V[0, 0] = bad
+        for W in (V, np.full((4, 3), bad)):
+            with pytest.raises(ValueError, match="unit sphere"):
+                InscribedSimplex(W)
+
+    @pytest.mark.parametrize("d", [1, 0, -1])
+    def test_random_simplex_needs_d_at_least_2(self, d):
+        with pytest.raises(ValueError, match="d must be >= 2"):
+            random_simplex(d, np.random.default_rng(0))
+
     def test_shape(self):
         S = regular_simplex(3)
         assert S.d == 3

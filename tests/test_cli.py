@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, file formats, and exit codes.
 
-Exit code contract: 0 ok, 1 self-test failure, 2 bad method/dimension (or
-an out-of-range count, or a piece that is not a proper cell), 3 infeasible
-simplex, 4 degeneracy, 5 I/O error.
+Exit code contract: 0 ok, 1 self-test failure, 2 a ValueError from the
+library (wrong dimension for a method, an out-of-range count, a piece that
+is not a proper cell) or ``optimize --restarts`` below 1, 3 infeasible
+simplex, 4 a DegeneracyError from the library, 5 an unwritable output or a
+simplex file that cannot be read or is not a valid simplex.
 """
 
 import json
@@ -291,6 +293,52 @@ class TestOptions:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# (exit code, argv, a fragment of the one error line); {name} is a file below
+ERROR_PATHS = {
+    "width-mc-samples-0": (2, "width {reg3} --method mc --samples 0", "n must be >= 1"),
+    "width-mat-samples-0": (2, "width {reg3} --method mat --samples 0", "n_samples must be >= 1"),
+    "selftest-samples-0": (2, "selftest --samples 0", "n_samples must be >= 1"),
+    "optimize-d3-samples-0": (2, "optimize -d 3 --samples 0", "mc_samples must be >= 1"),
+    "optimize-d4-samples-0": (2, "optimize -d 4 --samples 0 --max-iter 2",
+                              "mc_samples must be >= 1"),
+    "hessian-grid-1": (2, "hessian --grid 1", "grid_n must be >= 2"),
+    "optimize-restarts-0": (2, "optimize -d 3 --restarts 0", "--restarts must be >= 1"),
+    "width-exact3d-d2": (2, "width {reg2} --method exact3d", "exact3d needs ambient dimension 3"),
+    "width-exact3d-d4": (2, "width {reg4} --method exact3d", "exact3d needs ambient dimension 3"),
+    "width-mat-d2": (2, "width {reg2} --method mat", "needs d >= 3"),
+    "width-out": (5, "width {reg3} --out {missing}/w.json", "cannot write {missing}/w.json"),
+    "decompose-out": (5, "decompose {reg3} --out {missing}/c.json", "cannot write {missing}/c.json"),
+    "hessian-out": (5, "hessian --grid 3 --out {missing}/scan.csv",
+                    "cannot write {missing}/scan.csv"),
+    "optimize-out": (5, "optimize -d 3 --max-iter 3 --out {missing}/trace.csv",
+                     "cannot write {missing}/trace.csv"),
+    "optimize-simplex-out": (5, "optimize -d 3 --max-iter 3 --simplex-out {missing}/best.json",
+                             "cannot write {missing}/best.json"),
+    "width-nan": (5, "width {nan}", "invalid simplex"),
+    "decompose-nan": (5, "decompose {nan}", "invalid simplex"),
+    "optimize-init-nan": (5, "optimize --init {nan}", "invalid simplex"),
+    "optimize-d1": (2, "optimize -d 1", "d must be >= 2"),
+    "optimize-d0": (2, "optimize -d 0", "d must be >= 2"),
+}
+
+
+@pytest.mark.parametrize("case", ERROR_PATHS)
+def test_error_path(case, tmp_path, capsys):
+    code, argv, fragment = ERROR_PATHS[case]
+    nan = tmp_path / "nan.json"
+    nan.write_text(json.dumps({"d": 3, "vertices": np.full((4, 3), np.nan).tolist(),
+                               "metadata": {}}))
+    files = {"reg2": write_simplex(tmp_path / "reg2.json", regular_simplex(2)),
+             "reg3": write_simplex(tmp_path / "reg3.json", regular_simplex(3)),
+             "reg4": write_simplex(tmp_path / "reg4.json", regular_simplex(4)),
+             "nan": str(nan), "missing": str(tmp_path / "missing")}
+    assert main([arg.format(**files) for arg in argv.split()]) == code
+    out, err = capsys.readouterr()
+    err = err.splitlines()
+    assert out == "" and len(err) == 1 and err[0].startswith("error:")
+    assert fragment.format(**files) in err[0]
 
 
 @pytest.mark.parametrize("command", ["width", "decompose"])

@@ -332,6 +332,18 @@ class TestHalfspaceCell:
         with pytest.raises(ValueError):
             HalfspaceCell(H)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        H = np.eye(3)
+        H[1, 2] = bad
+        for G in (H, np.full((3, 3), bad)):
+            with pytest.raises(ValueError, match="unit vectors"):
+                HalfspaceCell(G)
+
+    def test_non_finite_marginal_mean_rejected(self):
+        with pytest.raises(ValueError):
+            MarginalMean(float("nan"))
+
     def test_contains(self):
         cell = HalfspaceCell(np.eye(3))
         assert cell.contains(np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0))

@@ -183,6 +183,12 @@ class TestTriangleOracles:
         assert abs(area / (4 * np.pi) - p) < 3 * se
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_unit_vector_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        unit_vector([bad, 0.0])
+
+
 def test_unit_vector_rejects_off_sphere():
     with pytest.raises(ValueError):
         unit_vector([1.0, 1.0, 1.0])

@@ -38,6 +38,8 @@ class TestWidthEstimate:
             WidthEstimate(1.0, -0.1, "monte_carlo")
         with pytest.raises(ValueError):
             WidthEstimate(1.0, 0.1, "exact3d")  # deterministic method
+        with pytest.raises(ValueError):
+            WidthEstimate(1.0, float("nan"), "monte_carlo")
 
 
 class TestExact3d:
@@ -247,6 +249,12 @@ class TestOptimizer:
     def test_init_dimension_check(self):
         with pytest.raises(ValueError):
             optimize_width(3, regular_simplex(4))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_sample_count_checked_in_every_dimension(self, d):
+        # d = 3 never reads the count, yet 0 is still no valid count
+        with pytest.raises(ValueError, match="mc_samples must be >= 1"):
+            optimize_width(d, mc_samples=0)
 
     def test_grad_norm_vanishes_at_the_maximizer(self):
         trace = optimize_width(3, "random", seed=12, max_iter=400)
