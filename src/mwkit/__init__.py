@@ -2,7 +2,7 @@
 
 Spherical trigonometry, cap/Wallis measures, Voronoi and path-simplex
 (orthoscheme) decompositions, exact and Monte Carlo mean-width evaluation,
-the two-angle Hessian analysis, and a projected gradient-ascent optimizer
+the two-angle Hessian analysis, and an ascent of the width (BFGS in d = 3)
 that recovers the regular simplex as the maximizer in dimension 3.
 """
 

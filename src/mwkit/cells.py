@@ -10,10 +10,13 @@ maximal chains and ``_chain_path`` turns any stack of them into signed path
 simplices, so ``maximal_chains``, the path simplex of a chain, the d = 3
 complex of 24 right triangles with its angle-sum audit and the pieces of
 ``width.mean_width_mat`` are the same objects.  The feasibility check reads
-the table too.  One normalized inverse, ``sphere._unit_normals``, gives the
-facet normals of a path simplex or of a stack of them, so ``gram_matrix``,
-``adjacent_dihedral_angles``, the audit's angles and cell areas and MAT's
-pieces read the same normals.
+the table too.  A validated ``InscribedSimplex`` decides flatness once and
+inverts its barycentric matrix [[V^t], [1^t]] once; that inverse is the one
+source of its outward facet normals (the table's size-d layer and the d = 3
+ascent's edge formula) and of origin-in-hull.  One normalized inverse,
+``sphere._unit_normals``, gives the facet normals of a path simplex or of a
+stack of them, so ``gram_matrix``, ``adjacent_dihedral_angles``, the
+audit's angles and cell areas and MAT's pieces read the same normals.
 """
 
 from __future__ import annotations
@@ -80,9 +83,33 @@ class InscribedSimplex:
         return self.vertices.shape[1]
 
     @cached_property
+    def _barycentric_inverse(self) -> np.ndarray:
+        """inv([[V^t], [1^t]]): row k holds the gradient of the k-th
+        barycentric coordinate in its first d entries, and the last column
+        holds the barycentric coordinates of the origin."""
+        n, d = self.vertices.shape
+        A = np.ones((n, n))
+        A[:d] = self.vertices.T
+        return np.linalg.inv(A)
+
+    @cached_property
+    def _outward_normals(self) -> np.ndarray:
+        """Outward unit facet normals, row k opposite v_k (the gradient of
+        the k-th barycentric coordinate points from that facet toward v_k);
+        the size-d face points of ``_face_table``."""
+        N = -self._barycentric_inverse[:, :self.d]
+        return N / np.linalg.norm(N, axis=1, keepdims=True)
+
+    @cached_property
+    def _contains_origin(self) -> bool:
+        """The origin lies in the convex hull: no barycentric coordinate of
+        it is negative beyond GLOBAL_EPS."""
+        return bool(np.min(self._barycentric_inverse[:, -1]) >= -GLOBAL_EPS)
+
+    @cached_property
     def _faces(self) -> "_Faces":
         # one table per simplex, shared by every face-point and chain query
-        return _face_table(self.vertices)
+        return _face_table(self)
 
 
 def _check_full_dimensional(V: np.ndarray) -> None:
@@ -104,7 +131,7 @@ def random_simplex(d: int, rng: np.random.Generator,
             S = InscribedSimplex(V)
         except ValueError:  # DegeneracyError too
             continue
-        if not feasible or _origin_in_hull(V):
+        if not feasible or S._contains_origin:
             return S
     raise RuntimeError("failed to sample a simplex")
 
@@ -157,14 +184,13 @@ def _subsets(n: int):
     return tuple(out)
 
 
-def _face_table(V: np.ndarray) -> _Faces:
-    """Every face point of the simplex with vertex rows V, oriented by one
-    closeness test.
+def _face_table(S: InscribedSimplex) -> _Faces:
+    """Every face point of the simplex S, oriented by one closeness test.
 
     p(Q) is the unit vector of span(V_Q) equidistant from the vertices of Q,
     normalize(V_Q^t (V_Q V_Q^t)^-1 1) (v_q itself when Q = {q}, and the
-    facet normal from ``_facet_normals`` when |Q| = d, which stays defined
-    where the facet plane passes through the origin).  It is
+    facet normal from ``S._outward_normals`` when |Q| = d, which stays
+    defined where the facet plane passes through the origin).  It is
     replaced by its antipode exactly when every vertex outside Q is nearer to
     it than Q is, i.e. side[Q, x] < 0 for all x outside Q.  For |Q| = d this
     is the cell-membership sign of the complex vertex.  For smaller Q it is
@@ -174,6 +200,7 @@ def _face_table(V: np.ndarray) -> _Faces:
     maximal chain Q_1 < ... < Q_d is the product of side[Q_k, x] over its
     levels, with x the vertex Q_{k+1} adds.
     """
+    V = S.vertices
     n, d = V.shape
     points = np.full((1 << n, d), np.nan)
     side = np.full((1 << n, n), np.nan)
@@ -186,7 +213,7 @@ def _face_table(V: np.ndarray) -> _Faces:
         elif members.shape[1] == d:
             # the facet normals, row x opposite v_x; a facet plane through
             # the origin leaves them well defined
-            p = _facet_normals(V)[np.argmin(inside, axis=1)]
+            p = S._outward_normals[np.argmin(inside, axis=1)]
         else:
             G = VQ @ VQ.transpose(0, 2, 1)
             try:
@@ -195,8 +222,9 @@ def _face_table(V: np.ndarray) -> _Faces:
                 raise DegeneracyError("vertex subset is linearly dependent") from None
             x = np.einsum("mk,mkd->md", c[..., 0], VQ)
             xn = np.linalg.norm(x, axis=1)
-            # 1/|x| is the distance from the origin to the affine hull of V_Q
-            if not np.all(xn * DEGENERACY_EPS < 1.0):
+            # 1/|x| is the distance from the origin to the affine hull of V_Q;
+            # a linearly dependent V_Q can also cancel x to exactly 0
+            if not np.all((xn > 0.0) & (xn * DEGENERACY_EPS < 1.0)):
                 raise DegeneracyError("equidistance subspace orthogonal to the vertices")
             p = x / xn[:, None]
         q = members[:, 0]
@@ -213,25 +241,6 @@ def _face_table(V: np.ndarray) -> _Faces:
 def _top_masks(n: int) -> np.ndarray:
     """Bitmasks of the size-(n-1) subsets of range(n); entry x excludes x."""
     return ((1 << n) - 1) ^ (1 << np.arange(n))
-
-
-def _facet_normals(V: np.ndarray) -> np.ndarray:
-    """Outward unit normals of the facets of the simplex with vertex rows V;
-    row k is the normal of the facet opposite v_k.
-
-    The first d entries of row k of the inverse of the barycentric matrix
-    [[V^t], [1^t]] are the gradient of the k-th barycentric coordinate, which
-    points from the opposite facet toward v_k.  The normals are the size-d
-    face points of ``_face_table``: the unit vector equidistant from a
-    facet's vertices, on the side where they beat the excluded one.  Raises
-    DegeneracyError when the simplex is flat.
-    """
-    _check_full_dimensional(V)
-    n, d = V.shape
-    A = np.ones((n, n))
-    A[:d] = V.T
-    N = -np.linalg.inv(A)[:, :d]
-    return N / np.linalg.norm(N, axis=1, keepdims=True)
 
 
 def _subset_mask(S: InscribedSimplex, subset) -> int:
@@ -574,17 +583,6 @@ def _complex24_audit(S: InscribedSimplex, sigma, paths) -> ComplexAudit:
 # Feasibility
 # ---------------------------------------------------------------------------
 
-def _origin_in_hull(V: np.ndarray) -> bool:
-    A = np.vstack([V.T, np.ones(V.shape[0])])
-    rhs = np.zeros(V.shape[0])
-    rhs[-1] = 1.0
-    try:
-        lam = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.min(lam) >= -GLOBAL_EPS)
-
-
 @dataclass(frozen=True)
 class FeasibilityReport:
     origin_in_hull: bool
@@ -608,11 +606,9 @@ def feasibility_checks(S: InscribedSimplex) -> FeasibilityReport:
     exactly when the origin is in the hull.
     """
     V = S.vertices
-    d = S.d
-    in_hull = _origin_in_hull(V)
     on_sphere = bool(np.max(np.abs(np.linalg.norm(V, axis=1) - 1.0))
                      <= INGEST_NORM_TOL)
-    corners = S._faces.points[_top_masks(d + 1)]
+    corners = S._faces.points[_top_masks(S.d + 1)]
     cover = bool(np.min(np.max(corners @ V.T, axis=1)) >= -GLOBAL_EPS)
-    return FeasibilityReport(origin_in_hull=in_hull, vertices_on_sphere=on_sphere,
-                             hemisphere_cover=cover)
+    return FeasibilityReport(origin_in_hull=S._contains_origin,
+                             vertices_on_sphere=on_sphere, hemisphere_cover=cover)

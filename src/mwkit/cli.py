@@ -86,9 +86,12 @@ def load_simplex(path: str, auto_normalize: bool = False) -> InscribedSimplex:
         print(f"error: vertices must be (d+1) x d, got {V.shape} for d={d}",
               file=sys.stderr)
         raise SystemExit(_EXIT_IO)
-    if auto_normalize:
-        V = V / np.linalg.norm(V, axis=1, keepdims=True)
     try:
+        if auto_normalize:
+            norms = np.linalg.norm(V, axis=1, keepdims=True)
+            if not np.all((norms > 0.0) & np.isfinite(norms)):
+                raise ValueError("a vertex has zero or non-finite norm")
+            V = V / norms
         return InscribedSimplex(V)
     except DegeneracyError as exc:
         print(f"error: degenerate simplex: {exc}", file=sys.stderr)
@@ -313,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=int, default=200)
     sp.set_defaults(func=cmd_hessian)
 
-    sp = sub.add_parser("optimize", help="projected gradient ascent of width")
+    sp = sub.add_parser("optimize", help="ascent of the width (BFGS in d = 3)")
     common(sp, "seed", "samples", "tol", "out")
     sp.add_argument("-d", type=int, default=3)
     sp.add_argument("--restarts", type=int, default=1)

@@ -16,8 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cells import (DegeneracyError, InscribedSimplex, _chain_orders,
-                    _chain_path, _complex24_core, _face_table, _facet_normals,
-                    random_simplex)
+                    _chain_path, _complex24_core, random_simplex)
 from .cells import cell_vertex  # noqa: F401  the benchmark's trace test wraps it
 from .measures import (HalfspaceCell, _mat_prefactor, _reduced_cell,
                        _reduced_directions, _reduced_integrand)
@@ -95,10 +94,11 @@ def mean_width_mc(S: InscribedSimplex, n: int, seed: int) -> WidthEstimate:
     return WidthEstimate(2.0 * mean, se, "monte_carlo")
 
 
-def _mc_width_and_gradient(V: np.ndarray, n: int, seed: int):
+def _mc_width_and_gradient(S: InscribedSimplex, n: int, seed: int):
     """The fixed-seed Monte Carlo width 2/n sum_s max_j u_s . v_j and its exact
     derivative G_i = 2/n sum_s u_s 1{argmax_j u_s . v_j = i}, projected onto
     the sphere tangents; same samples as ``mean_width_mc``."""
+    V = S.vertices
     total = 0.0
     G = np.zeros_like(V)
     for u in _sphere_samples(V.shape[1], n, seed):
@@ -121,7 +121,7 @@ def _complex24_width(sigma, a, b) -> float:
 
 
 def _exact3d_value(V: np.ndarray) -> float:
-    return _complex24_width(*_complex24_core(_face_table(V))[:3])
+    return _complex24_width(*_complex24_core(InscribedSimplex(V)._faces)[:3])
 
 
 _PAIR_A, _PAIR_B = np.triu_indices(4, 1)  # the six pairs i < j in lexicographic order
@@ -134,9 +134,9 @@ _PAIR_SIGN[_PAIR_A, np.arange(6)] = 1.0
 _PAIR_SIGN[_PAIR_B, np.arange(6)] = -1.0
 
 
-def _exact3d_width_and_gradient(V: np.ndarray):
+def _exact3d_width_and_gradient(S: InscribedSimplex):
     """The exact d = 3 width and its tangential gradient from the four facet
-    normals (Steiner formula; Schneider, Convex Bodies, section 4.2).
+    normals of S (Steiner formula; Schneider, Convex Bodies, section 4.2).
 
     The mean width is a multiple of the first intrinsic volume; in d = 3,
     w = (1/4pi) sum_edges |v_i - v_j| l_ij with l_ij = pi - theta_ij =
@@ -144,10 +144,10 @@ def _exact3d_width_and_gradient(V: np.ndarray):
     of the two facets that meet there ({k, l} the complement of {i, j}).
     That arc is also the Voronoi edge shared by cells i and j, so with
     dw/dv_i = 2 E[u 1{u in cell i}] and the divergence theorem on S^2,
-    grad_i w = (1/4pi) sum_j l_ij (v_i - v_j)/|v_i - v_j|.  Raises
-    DegeneracyError exactly when the tetrahedron is flat.
+    grad_i w = (1/4pi) sum_j l_ij (v_i - v_j)/|v_i - v_j|.  Only a flat
+    tetrahedron lacks these normals, and it fails validation as S.
     """
-    n = _facet_normals(V)
+    V, n = S.vertices, S._outward_normals
     cos_ell = (n @ n.T)[_PAIR_OTH[:, 0], _PAIR_OTH[:, 1]]
     ell = np.arccos(np.clip(cos_ell, -1.0, 1.0))
     diff = V[_PAIR_A] - V[_PAIR_B]
@@ -303,8 +303,8 @@ def optimize_width(d: int, init="random", *, max_iter: int = 1000,
     uses common-random-numbers Monte Carlo with a fixed seed and the exact
     derivative of that fixed-seed objective from the same samples, in a
     step-growing gradient ascent that stops when the gain falls below tol.
-    Each trial point is validated once, as the InscribedSimplex its state
-    keeps, and evaluated once, for the value and the gradient together.
+    Each point is validated once, as the InscribedSimplex its state keeps
+    (the start as given), and evaluated once for value and gradient.
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
@@ -312,20 +312,21 @@ def optimize_width(d: int, init="random", *, max_iter: int = 1000,
     if isinstance(init, InscribedSimplex):
         if init.d != d:
             raise ValueError("init simplex has the wrong dimension")
-        V = init.vertices.copy()
+        S = init
     elif init == "random":
-        V = random_simplex(d, rng).vertices
+        S = random_simplex(d, rng)
     else:
         raise ValueError("init must be an InscribedSimplex or 'random'")
 
     method = "exact3d" if d == 3 else "monte_carlo"
     obj_seed = None if d == 3 else int(rng.integers(2 ** 31))
 
+    evaluate = (_exact3d_width_and_gradient if d == 3 else
+                lambda S: _mc_width_and_gradient(S, mc_samples, obj_seed))
+
     def trial(W):
         S = InscribedSimplex(W)  # a flat trial raises DegeneracyError
-        if d == 3:
-            return (S, *_exact3d_width_and_gradient(W))
-        return (S, *_mc_width_and_gradient(W, mc_samples, obj_seed))
+        return (S, *evaluate(S))
 
     def make_state(S, w, grad, it, step, converged):
         return OptimizerState(
@@ -333,7 +334,7 @@ def optimize_width(d: int, init="random", *, max_iter: int = 1000,
             step_size=step, regularity=regularity_metric(S), converged=converged,
             grad_norm=float(np.linalg.norm(grad)))
 
-    S, w, grad = trial(V)
+    w, grad = evaluate(S)  # the start is already validated
     if d == 3:
         return _bfgs_ascent(trial, make_state, S, w, grad, max_iter, tol)
     step = _STEP0

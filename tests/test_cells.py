@@ -106,6 +106,18 @@ class TestFacePoints:
                 excl = [j for j in range(4) if j not in subset][0]
                 assert q @ (S.vertices[subset[0]] - S.vertices[excl]) > 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_dependent_subset_raises_without_a_numpy_warning(self):
+        # v_0, v_1 and v_4 lie on one great circle, so {0, 1, 4} has no face
+        # point; its solve cancels to an exact 0 instead of blowing up
+        V = np.array([[0.6675765034180379, -0.744541209124214, 0.0, 0.0],
+                      [0.0, -1.0, 0.0, 0.0],
+                      [-2.3182889256863497e-20, -0.707103245626125, -0.7071103167292923, 0.0],
+                      [0.674695147668185, 0.0, 0.0, 0.7380965097553343],
+                      [1.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(DegeneracyError, match="equidistance subspace"):
+            equidistant_point(InscribedSimplex(V), (0, 1, 4))
+
 
 class TestChains:
     def test_count(self):

@@ -319,21 +319,28 @@ ERROR_PATHS = {
     "width-nan": (5, "width {nan}", "invalid simplex"),
     "decompose-nan": (5, "decompose {nan}", "invalid simplex"),
     "optimize-init-nan": (5, "optimize --init {nan}", "invalid simplex"),
+    "width-normalize-zero-row": (5, "width {zero} --auto-normalize", "invalid simplex"),
+    "width-normalize-inf-row": (5, "width {inf} --auto-normalize", "invalid simplex"),
     "optimize-d1": (2, "optimize -d 1", "d must be >= 2"),
     "optimize-d0": (2, "optimize -d 0", "d must be >= 2"),
 }
 
 
+@pytest.mark.filterwarnings("error")  # an error path must not pass through a numpy warning
 @pytest.mark.parametrize("case", ERROR_PATHS)
 def test_error_path(case, tmp_path, capsys):
     code, argv, fragment = ERROR_PATHS[case]
-    nan = tmp_path / "nan.json"
-    nan.write_text(json.dumps({"d": 3, "vertices": np.full((4, 3), np.nan).tolist(),
-                               "metadata": {}}))
     files = {"reg2": write_simplex(tmp_path / "reg2.json", regular_simplex(2)),
              "reg3": write_simplex(tmp_path / "reg3.json", regular_simplex(3)),
              "reg4": write_simplex(tmp_path / "reg4.json", regular_simplex(4)),
-             "nan": str(nan), "missing": str(tmp_path / "missing")}
+             "missing": str(tmp_path / "missing")}
+    V = regular_simplex(3).vertices
+    for name, W in (("nan", np.full((4, 3), np.nan)),
+                    ("zero", np.vstack([np.zeros(3), V[1:]])),
+                    ("inf", np.vstack([[np.inf, 0.0, 0.0], V[1:]]))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"d": 3, "vertices": W.tolist(), "metadata": {}}))
+        files[name] = str(path)
     assert main([arg.format(**files) for arg in argv.split()]) == code
     out, err = capsys.readouterr()
     err = err.splitlines()

@@ -73,7 +73,7 @@ def simplices(draw, d=3, feasible=None):
         V[d] = last / np.linalg.norm(last)
     assume(well_shaped(V))
     if feasible is False:
-        assume(not cells._origin_in_hull(V))
+        assume(not InscribedSimplex(V)._contains_origin)
     return V
 
 
@@ -87,7 +87,7 @@ def orthogonal(draw, d=3):
 
 
 def edge_value(V):
-    return width._exact3d_width_and_gradient(V)[0]
+    return width._exact3d_width_and_gradient(InscribedSimplex(V))[0]
 
 
 class TestEdgeFormulaD3:
@@ -112,9 +112,9 @@ class TestEdgeFormulaD3:
     @PROPERTY
     @given(V=simplices(), Q=orthogonal(), perm=st.permutations(range(4)))
     def test_gradient_equivariant(self, V, Q, perm):
-        _, G = width._exact3d_width_and_gradient(V)
-        _, G_rot = width._exact3d_width_and_gradient(V @ Q.T)
-        _, G_perm = width._exact3d_width_and_gradient(V[list(perm)])
+        _, G = width._exact3d_width_and_gradient(InscribedSimplex(V))
+        _, G_rot = width._exact3d_width_and_gradient(InscribedSimplex(V @ Q.T))
+        _, G_perm = width._exact3d_width_and_gradient(InscribedSimplex(V[list(perm)]))
         assert np.max(np.abs(G_rot - G @ Q.T)) < 1e-13
         assert np.max(np.abs(G_perm - G[list(perm)])) < 1e-13
 
@@ -124,7 +124,7 @@ class TestEdgeFormulaD3:
         rng = np.random.default_rng(26)
         for _ in range(200):
             S = random_simplex(3, rng)
-            _, G = width._exact3d_width_and_gradient(S.vertices)
+            _, G = width._exact3d_width_and_gradient(S)
             corners = S._faces.points[cells._top_masks(4)]
             for i, v in enumerate(S.vertices):
                 T = np.delete(corners, i, axis=0)
@@ -138,12 +138,13 @@ class TestFacetNormals:
     @given(data=st.data())
     def test_are_the_top_face_points(self, d, data):
         V = data.draw(simplices(d))
+        S = InscribedSimplex(V)
         try:
-            faces = cells._face_table(V)
+            faces = cells._face_table(S)
         except DegeneracyError:
             assume(False)
         top = faces.points[cells._top_masks(d + 1)]
-        normals = cells._facet_normals(V)
+        normals = S._outward_normals
         assert np.max(np.abs(normals - top)) < 1e-12
         # the table reads its size-d layer from these normals, so check them
         # against the null spaces of the facets too

@@ -263,15 +263,22 @@ class TestOptimizer:
         warm = optimize_width(3, regular_simplex(3), max_iter=5)
         assert warm[0].grad_norm < 1e-12
 
-    def test_d3_computes_facet_normals_once_per_evaluated_point(self, monkeypatch):
-        calls = count_calls(monkeypatch, (cells, "_face_table"),
-                            (cells, "_complex24_core"),
-                            (cells, "_facet_normals"),
-                            (width, "_exact3d_width_and_gradient"))
-        for seed in (12, 13, 14):  # enough restarts to pass 20 evaluations
-            optimize_width(3, "random", seed=seed, max_iter=400)
-        assert calls["_exact3d_width_and_gradient"] > 20
-        assert calls["_facet_normals"] == calls["_exact3d_width_and_gradient"]
+    @pytest.mark.parametrize("d, evaluator, seeds, options, min_evals", [
+        # d = 3: enough restarts to pass 20 evaluations
+        (3, "_exact3d_width_and_gradient", (12, 13, 14), dict(max_iter=400), 20),
+        (4, "_mc_width_and_gradient", (11,), dict(max_iter=5, mc_samples=5_000), 5),
+    ], ids=["d3", "d4"])
+    def test_one_flatness_test_per_evaluated_point(self, d, evaluator, seeds, options,
+                                                   min_evals, monkeypatch):
+        # the start is evaluated as random_simplex validated it, and each
+        # trial point as the one simplex its evaluation reads
+        calls = count_calls(monkeypatch, (cells, "_check_full_dimensional"),
+                            (cells, "_face_table"), (cells, "_complex24_core"),
+                            (width, evaluator))
+        for seed in seeds:
+            optimize_width(d, "random", seed=seed, **options)
+        assert calls[evaluator] > min_evals
+        assert calls["_check_full_dimensional"] == calls[evaluator]
         assert calls["_face_table"] == 0 and calls["_complex24_core"] == 0
 
     def test_mc_ascent_draws_one_sample_pass_per_evaluated_point(self, monkeypatch):
@@ -310,7 +317,7 @@ class TestOptimizer:
     def test_trace_states_carry_their_own_value_and_gradient(self):
         # a gradient kept from an earlier point would show in grad_norm
         for st in optimize_width(3, "random", seed=12, max_iter=400):
-            w, G = width._exact3d_width_and_gradient(st.simplex.vertices)
+            w, G = width._exact3d_width_and_gradient(InscribedSimplex(st.simplex.vertices))
             assert st.width.value == w
             assert st.grad_norm == float(np.linalg.norm(G))
 
@@ -354,51 +361,53 @@ class TestGradient:
     def test_exact3d_matches_finite_differences(self):
         rng = np.random.default_rng(20)
         for _ in range(20):
-            V = random_simplex(3, rng).vertices
-            _, G = width._exact3d_width_and_gradient(V)
-            G_fd = central_difference(width._exact3d_value, V)
+            S = random_simplex(3, rng)
+            _, G = width._exact3d_width_and_gradient(S)
+            G_fd = central_difference(width._exact3d_value, S.vertices)
             assert np.max(np.abs(G - G_fd)) < 1e-7
 
     def test_tangent_and_zero_at_regular(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
-            V = random_simplex(3, rng).vertices
-            _, G = width._exact3d_width_and_gradient(V)
-            assert np.max(np.abs(np.sum(G * V, axis=1))) < 1e-14
+            S = random_simplex(3, rng)
+            _, G = width._exact3d_width_and_gradient(S)
+            assert np.max(np.abs(np.sum(G * S.vertices, axis=1))) < 1e-14
             assert np.linalg.norm(G) > 1e-6
-        _, G = width._exact3d_width_and_gradient(regular_simplex(3).vertices)
+        _, G = width._exact3d_width_and_gradient(regular_simplex(3))
         assert np.max(np.abs(G)) < 1e-12
 
     @pytest.mark.parametrize("d", [4, 5])
     def test_mc_matches_finite_differences_of_the_same_seed(self, d):
         rng = np.random.default_rng(22 + d)
-        V = random_simplex(d, rng).vertices
+        S = random_simplex(d, rng)
+        V = S.vertices
         n, seed = 20_000, 5
 
         def objective(W):
             return mean_width_mc(InscribedSimplex(W), n, seed).value
 
-        _, G = width._mc_width_and_gradient(V, n, seed)
+        _, G = width._mc_width_and_gradient(S, n, seed)
         assert np.max(np.abs(np.sum(G * V, axis=1))) < 1e-14
         assert np.max(np.abs(G - central_difference(objective, V))) < 1e-8
 
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_shared_sampler_value_is_bitwise_mean_width_mc(self, d, monkeypatch):
         monkeypatch.setattr(width, "_MC_BATCH", 1_000)  # several batches
-        V = random_simplex(d, np.random.default_rng(30 + d)).vertices
-        value, _ = width._mc_width_and_gradient(V, 2_500, 9)
-        assert value == mean_width_mc(InscribedSimplex(V), 2_500, 9).value
+        S = random_simplex(d, np.random.default_rng(30 + d))
+        value, _ = width._mc_width_and_gradient(S, 2_500, 9)
+        assert value == mean_width_mc(S, 2_500, 9).value
 
     def test_degenerate_iterate_raises(self):
-        # four vertices on one small circle: every triple point is equidistant
-        # from all four vertices, for the width-and-gradient evaluation as for
-        # the objective
+        # four vertices on one small circle span a flat tetrahedron, which
+        # fails validation for the width-and-gradient evaluation as for the
+        # objective
         t = np.array([0.1, 1.7, 3.0, 4.4])
         r = np.sqrt(0.75)
         V = np.column_stack([r * np.cos(t), r * np.sin(t), np.full(4, 0.5)])
-        for fn in (width._exact3d_width_and_gradient, width._exact3d_value):
-            with pytest.raises(DegeneracyError):
-                fn(V)
+        with pytest.raises(DegeneracyError):
+            width._exact3d_width_and_gradient(InscribedSimplex(V))
+        with pytest.raises(DegeneracyError):
+            width._exact3d_value(V)
         # an antipodal pair is a proper tetrahedron: the complex cannot place
         # the triple points, but the edge formula is smooth there
         antipodal = InscribedSimplex(np.array(
