@@ -9,14 +9,14 @@ the chains.  One chain engine reads it: ``_chain_orders`` enumerates the
 maximal chains and ``_chain_path`` turns any stack of them into signed path
 simplices, so ``maximal_chains``, the path simplex of a chain, the d = 3
 complex of 24 right triangles with its angle-sum audit and the pieces of
-``width.mean_width_mat`` are the same objects.  The feasibility check reads
-the table too.  A validated ``InscribedSimplex`` decides flatness once and
-inverts its barycentric matrix [[V^t], [1^t]] once; that inverse is the one
-source of its outward facet normals (the table's size-d layer and the d = 3
-ascent's edge formula) and of origin-in-hull.  One normalized inverse,
-``sphere._unit_normals``, gives the facet normals of a path simplex or of a
-stack of them, so ``gram_matrix``, ``adjacent_dihedral_angles``, the
-audit's angles and cell areas and MAT's pieces read the same normals.
+``width.mean_width_mat`` are the same objects.  A validated
+``InscribedSimplex`` decides flatness once and inverts [[V^t], [1^t]] once;
+that inverse is the one source of its outward facet normals (the table's
+size-d layer, the feasibility cover and the d = 3 edge formula) and of
+origin-in-hull.  One normalized inverse, ``sphere._unit_normals``, gives the
+facet normals of a path simplex or of a stack of them, so ``gram_matrix``,
+``adjacent_dihedral_angles``, the audit's angles and cell areas and MAT's
+pieces read the same normals.
 """
 
 from __future__ import annotations
@@ -236,11 +236,6 @@ def _face_table(S: InscribedSimplex) -> _Faces:
         points[masks] = s * p
         side[masks] = s * D
     return _Faces(points, side)
-
-
-def _top_masks(n: int) -> np.ndarray:
-    """Bitmasks of the size-(n-1) subsets of range(n); entry x excludes x."""
-    return ((1 << n) - 1) ^ (1 << np.arange(n))
 
 
 def _subset_mask(S: InscribedSimplex, subset) -> int:
@@ -546,7 +541,7 @@ def _complex24_audit(S: InscribedSimplex, sigma, paths) -> ComplexAudit:
     """The audit of ``right_triangle_complex`` from the signs and paths that
     ``_complex24_core`` returns for S."""
     V = S.vertices
-    q = S._faces.points[_top_masks(4)]  # q_l, the triple point excluding v_l
+    q = S._outward_normals  # q_l, the triple point excluding v_l
 
     # per triangle (v_i, m_ij, q): the angles at v_i, at m_ij (right) and at q
     angles = _triangle_angles(paths)
@@ -599,16 +594,16 @@ def feasibility_checks(S: InscribedSimplex) -> FeasibilityReport:
     vertices on the sphere, and the closed hemispheres at the vertices
     covering the sphere.
 
-    The cover is decided exactly at the complex vertices p(Q), |Q| = d.  The
-    cells tile the sphere, cell i is the cone generated by its d complex
-    vertices q, and u . v_i is linear, so u . v_i >= 0 on the whole cell once
-    q . v_i >= 0 at every generator.  By Gordan's theorem the cover holds
-    exactly when the origin is in the hull.
+    The cover is decided exactly at the outward facet normals, which are the
+    complex vertices p(Q), |Q| = d, so no face table is built and nothing
+    raises.  The cells tile the sphere, cell i is the cone generated by its d
+    complex vertices q, and u . v_i is linear, so u . v_i >= 0 on the whole
+    cell once q . v_i >= 0 at every generator.  By Gordan's theorem the cover
+    holds exactly when the origin is in the hull.
     """
     V = S.vertices
     on_sphere = bool(np.max(np.abs(np.linalg.norm(V, axis=1) - 1.0))
                      <= INGEST_NORM_TOL)
-    corners = S._faces.points[_top_masks(S.d + 1)]
-    cover = bool(np.min(np.max(corners @ V.T, axis=1)) >= -GLOBAL_EPS)
+    cover = bool(np.min(np.max(S._outward_normals @ V.T, axis=1)) >= -GLOBAL_EPS)
     return FeasibilityReport(origin_in_hull=S._contains_origin,
                              vertices_on_sphere=on_sphere, hemisphere_cover=cover)

@@ -101,18 +101,6 @@ def load_simplex(path: str, auto_normalize: bool = False) -> InscribedSimplex:
         raise SystemExit(_EXIT_IO)
 
 
-def _jiggle(S: InscribedSimplex, seed: int) -> InscribedSimplex:
-    # documented degeneracy escape: a random rotation of magnitude ~1e-7
-    rng = np.random.default_rng(seed)
-    K = rng.standard_normal((S.d, S.d))
-    K = 1e-7 * (K - K.T) / 2.0
-    Q = np.eye(S.d) + K + K @ K / 2.0
-    Q, _ = np.linalg.qr(Q)
-    V = S.vertices @ Q.T
-    V /= np.linalg.norm(V, axis=1, keepdims=True)
-    return InscribedSimplex(V)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -141,15 +129,6 @@ def cmd_width(args) -> int:
 
 def cmd_decompose(args) -> int:
     S = load_simplex(args.simplex, args.auto_normalize)
-    if args.jiggle:
-        try:
-            return _decompose_run(S, args)
-        except DegeneracyError:
-            S = _jiggle(S, args.seed)
-    return _decompose_run(S, args)
-
-
-def _decompose_run(S: InscribedSimplex, args) -> int:
     # every chain's path simplex, Gram matrix and dihedral angles in one
     # stack; in d = 3 the chains are the 24-triangle complex, read once for
     # the entries and the audit
@@ -306,9 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_width)
 
     sp = sub.add_parser("decompose", help="signed path-simplex decomposition")
-    common(sp, "seed", "out", simplex=True)
-    sp.add_argument("--jiggle", action="store_true",
-                    help="escape degeneracy with a 1e-7 random rotation")
+    common(sp, "out", simplex=True)
     sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("hessian", help="negative-definiteness region scan")

@@ -166,12 +166,7 @@ def mean_width_exact3d(S: InscribedSimplex) -> WidthEstimate:
     """
     if S.d != 3:
         raise ValueError("exact3d needs ambient dimension 3")
-    try:
-        value = _complex24_width(*_complex24_core(S._faces)[:3])
-    except DegeneracyError as exc:
-        raise DegeneracyError(
-            f"{exc}; a tiny random rotation of the input (jiggle) usually "
-            "escapes the degeneracy") from exc
+    value = _complex24_width(*_complex24_core(S._faces)[:3])
     return WidthEstimate(value, 0.0, "exact3d")
 
 

@@ -21,6 +21,19 @@ def sample_sphere(rng, n, d):
     return u / np.linalg.norm(u, axis=1, keepdims=True)
 
 
+def random_rotation(rng, d):
+    """A Haar-random orthogonal map of R^d."""
+    Q, R = np.linalg.qr(rng.standard_normal((d, d)))
+    return Q * np.sign(np.diag(R))
+
+
+# a valid simplex (origin in the hull, det -1.52) whose face point p({0, 1})
+# is equidistant from v_2: feasible, but its face table raises
+EQUIDISTANT_FACE_POINT = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                          [0.5, 0.5, 0.7071067811865476],
+                          [-0.5773502691896258, -0.5773502691896258, -0.5773502691896258]]
+
+
 def cone_membership(points, verts):
     """Indicator of membership in the spherical simplex spanned by verts."""
     lam = np.linalg.solve(verts.T, points.T)  # verts rows are the generators
@@ -280,6 +293,40 @@ class TestChainConsistency:
         stacked, stacked_signs = mwcells._chain_path(S._faces, blocks)
         assert np.array_equal(stacked.reshape(paths.shape), paths)
         assert np.array_equal(stacked_signs.ravel(), signs)
+
+
+class TestRotationInvariance:
+    """Every degeneracy check reads rotation-invariant objects (face points,
+    side tests, Gram matrices), so a rotated simplex has the rotated face
+    points, the same chain signs and the same Gram matrices, and a rotation
+    never escapes a degeneracy."""
+
+    @pytest.mark.parametrize("d", [4, 5])
+    @pytest.mark.parametrize("feasible", [True, False])
+    def test_face_points_signs_and_grams(self, d, feasible):
+        rng = np.random.default_rng(110 + d)
+        orders = mwcells._chain_orders(d + 1)
+        for _ in range(5):
+            S = random_simplex(d, rng, feasible=feasible)
+            while not feasible and S._contains_origin:
+                S = random_simplex(d, rng)
+            Q = random_rotation(rng, d)
+            T = InscribedSimplex(S.vertices @ Q.T)
+            # rows 0 and -1, the empty and the full set, are NaN
+            points, points_T = S._faces.points[1:-1], T._faces.points[1:-1]
+            assert np.max(np.abs(points_T - points @ Q.T)) < 1e-12
+            paths, signs = mwcells._chain_path(S._faces, orders)
+            paths_T, signs_T = mwcells._chain_path(T._faces, orders)
+            assert np.array_equal(signs_T, signs)
+            assert np.max(np.abs(gram_matrix(paths_T) - gram_matrix(paths))) < 1e-12
+
+    def test_degenerate_stays_degenerate(self):
+        for seed in range(20):
+            Q = random_rotation(np.random.default_rng(seed), 3)
+            S = InscribedSimplex(np.array(EQUIDISTANT_FACE_POINT) @ Q.T)
+            assert feasibility_checks(S).all_ok  # reads no face table
+            with pytest.raises(DegeneracyError, match="face point equidistant"):
+                S._faces
 
 
 class TestStackedGram:

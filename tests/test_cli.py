@@ -16,6 +16,7 @@ from mwkit import cells
 from mwkit.cells import random_simplex
 from mwkit.cli import main, load_simplex, simplex_to_document
 from mwkit.width import optimize_width, regular_simplex, regular_tetrahedron_width
+from test_cells import EQUIDISTANT_FACE_POINT
 from test_edge_formula import reference_width_d4
 from test_width import count_calls
 
@@ -177,19 +178,6 @@ class TestDecomposeCommand:
             assert np.array_equal(e["dihedral_angles"],
                                   cells.adjacent_dihedral_angles(P))
 
-    def test_degenerate_with_jiggle(self, tmp_path, capsys):
-        V = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, -1.0, 0]])
-        p = tmp_path / "deg.json"
-        p.write_text(json.dumps({"d": 3, "vertices": V.tolist(), "metadata": {}}))
-        code = main(["decompose", str(p), "--jiggle"])
-        if code == 0:
-            out = json.loads(capsys.readouterr().out)
-            assert out["n_path_simplices"] == 24
-        else:
-            # jiggle is best-effort; a still-degenerate draw reports 4
-            assert code == 4
-
-
 class TestHessianCommand:
     def test_scan(self, capsys):
         assert main(["hessian", "--grid", "40"]) == 0
@@ -280,6 +268,8 @@ class TestOptions:
         ["width", "--tol", "1e-9"],
         ["decompose", "--samples", "10"],
         ["decompose", "--tol", "1e-9"],
+        ["decompose", "--jiggle"],
+        ["decompose", "--seed", "1"],
         ["hessian", "--seed", "1"],
         ["hessian", "--samples", "10"],
         ["hessian", "--tol", "1e-9"],
@@ -293,6 +283,12 @@ class TestOptions:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def write_vertices(path, V):
+    path.write_text(json.dumps({"d": len(V[0]), "vertices": np.asarray(V).tolist(),
+                                "metadata": {}}))
+    return str(path)
 
 
 # (exit code, argv, a fragment of the one error line); {name} is a file below
@@ -321,6 +317,8 @@ ERROR_PATHS = {
     "optimize-init-nan": (5, "optimize --init {nan}", "invalid simplex"),
     "width-normalize-zero-row": (5, "width {zero} --auto-normalize", "invalid simplex"),
     "width-normalize-inf-row": (5, "width {inf} --auto-normalize", "invalid simplex"),
+    "width-equidistant-face-point": (4, "width {equidistant}", "face point equidistant"),
+    "decompose-equidistant-face-point": (4, "decompose {equidistant}", "face point equidistant"),
     "optimize-d1": (2, "optimize -d 1", "d must be >= 2"),
     "optimize-d0": (2, "optimize -d 0", "d must be >= 2"),
 }
@@ -337,10 +335,9 @@ def test_error_path(case, tmp_path, capsys):
     V = regular_simplex(3).vertices
     for name, W in (("nan", np.full((4, 3), np.nan)),
                     ("zero", np.vstack([np.zeros(3), V[1:]])),
-                    ("inf", np.vstack([[np.inf, 0.0, 0.0], V[1:]]))):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"d": 3, "vertices": W.tolist(), "metadata": {}}))
-        files[name] = str(path)
+                    ("inf", np.vstack([[np.inf, 0.0, 0.0], V[1:]])),
+                    ("equidistant", EQUIDISTANT_FACE_POINT)):
+        files[name] = write_vertices(tmp_path / f"{name}.json", W)
     assert main([arg.format(**files) for arg in argv.split()]) == code
     out, err = capsys.readouterr()
     err = err.splitlines()
@@ -355,3 +352,14 @@ def test_builds_one_face_table_per_simplex(command, tmp_path, monkeypatch, capsy
     calls = count_calls(monkeypatch, (cells, "_face_table"))
     assert main([command, path]) == 0
     assert calls["_face_table"] == 1
+
+
+def test_mc_width_reads_no_face_table(tmp_path, monkeypatch, capsys):
+    # feasibility reads the facet normals, and Monte Carlo never needs the
+    # face point that the table rejects
+    path = write_vertices(tmp_path / "equidistant.json", EQUIDISTANT_FACE_POINT)
+    calls = count_calls(monkeypatch, (cells, "_face_table"))
+    assert main(["width", path, "--method", "mc", "--samples", "20000"]) == 0
+    assert calls["_face_table"] == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["method"] == "monte_carlo" and 0.0 < out["value"] <= 2.0

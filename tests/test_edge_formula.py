@@ -125,7 +125,7 @@ class TestEdgeFormulaD3:
         for _ in range(200):
             S = random_simplex(3, rng)
             _, G = width._exact3d_width_and_gradient(S)
-            corners = S._faces.points[cells._top_masks(4)]
+            corners = S._faces.points[15 ^ (1 << np.arange(4))]  # entry x excludes v_x
             for i, v in enumerate(S.vertices):
                 T = np.delete(corners, i, axis=0)
                 m = _moment(T, arc_length(T[[1, 2, 0]], T[[2, 0, 1]]))
@@ -143,11 +143,12 @@ class TestFacetNormals:
             faces = cells._face_table(S)
         except DegeneracyError:
             assume(False)
-        top = faces.points[cells._top_masks(d + 1)]
+        top = faces.points[((1 << (d + 1)) - 1) ^ (1 << np.arange(d + 1))]  # entry x excludes v_x
         normals = S._outward_normals
-        assert np.max(np.abs(normals - top)) < 1e-12
-        # the table reads its size-d layer from these normals, so check them
-        # against the null spaces of the facets too
+        # feasibility_checks reads its cover at these normals in place of
+        # the table's size-d layer, so the two must be the same numbers
+        assert np.array_equal(normals, top)
+        # check them against the null spaces of the facets too
         assert np.max(np.abs(normals - np.array(svd_facet_normals(V)))) < 1e-12
 
 

@@ -300,6 +300,18 @@ class TestOptimizer:
             0.2, 0.30000000000000004, 0.45000000000000007, 0.675,
             1.0125000000000002, 1.5187500000000003]
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mc_ascent_stops_when_no_step_helps(self, seed):
+        # with tol = 0 no gain is small enough to stop on, so the ascent ends
+        # by halving the step below _MIN_STEP, keeping the last accepted simplex
+        trace = optimize_width(4, "random", seed=seed, max_iter=400, mc_samples=500,
+                               tol=0.0)
+        last, previous = trace[-1], trace[-2]
+        assert last.converged and last.step_size < width._MIN_STEP
+        assert last.simplex is previous.simplex
+        widths = [st.width.value for st in trace]
+        assert all(b >= a for a, b in zip(widths, widths[1:]))
+
     def test_d3_ends_at_the_maximizer_to_round_off(self, monkeypatch):
         # criterion 10's restarts: BFGS ends within round-off of the regular
         # width, about 1e-8 regular, in a median of at most 15 evaluations
