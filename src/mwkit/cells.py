@@ -540,7 +540,6 @@ def right_triangle_complex(S: InscribedSimplex):
 def _complex24_audit(S: InscribedSimplex, sigma, paths) -> ComplexAudit:
     """The audit of ``right_triangle_complex`` from the signs and paths that
     ``_complex24_core`` returns for S."""
-    V = S.vertices
     q = S._outward_normals  # q_l, the triple point excluding v_l
 
     # per triangle (v_i, m_ij, q): the angles at v_i, at m_ij (right) and at q
@@ -552,7 +551,7 @@ def _complex24_audit(S: InscribedSimplex, sigma, paths) -> ComplexAudit:
     corners = np.stack([np.delete(q, i, axis=0) for i in range(4)])
     cell_area_sum = float(np.sum(_triangle_angles(corners)) - 4 * np.pi)
 
-    cover = bool(np.min(np.max(q @ V.T, axis=1)) >= -GLOBAL_EPS)
+    cover = feasibility_checks(S).hemisphere_cover
     max_angle = float(angles.max())
     sign_total = int(np.sum(sigma))
     total_vertex = float(vertex_sums.sum())

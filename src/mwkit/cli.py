@@ -4,14 +4,14 @@ optimization, and a cross-module self-test.
 Each subcommand takes only the options it reads (``build_parser``); any
 other option is an argparse usage error, exit 2.
 
-The library decides what input is valid; the commands repeat none of its
-checks, and ``main`` alone turns its errors into exit codes: 0 ok,
-1 self-test failure, 2 a ``ValueError`` from the library (a method that
-does not fit the dimension, an out-of-range count such as ``--grid`` or
-``--samples``, an orthoscheme piece that is not a proper cell) or
-``optimize --restarts`` below 1, 3 infeasible simplex, 4 a degeneracy
-(``DegeneracyError``), 5 an unwritable output, or a simplex file that
-cannot be read or is not a valid simplex (``load_simplex``).
+The library decides what input is valid and the commands repeat none of
+its checks.  ``main`` maps errors to exit codes: 0 ok, 1 self-test failure,
+2 a ``ValueError`` (a method that does not fit the dimension, an
+out-of-range count such as ``--grid``, ``--samples`` or ``--restarts``, an
+orthoscheme piece that is not a proper cell), 3 infeasible simplex, 4 a
+degeneracy (``DegeneracyError``), 5 an unwritable output.  ``load_simplex``
+exits on its own, 5 for an unreadable or invalid simplex file and 4 for a
+degenerate one: ``main`` cannot tell its ``ValueError`` from the library's.
 """
 
 from __future__ import annotations
@@ -170,8 +170,7 @@ def cmd_hessian(args) -> int:
 
 def cmd_optimize(args) -> int:
     if args.restarts < 1:
-        print("error: --restarts must be >= 1", file=sys.stderr)
-        return _EXIT_BAD_INPUT
+        raise ValueError("--restarts must be >= 1")
     if args.init:
         starts = [(load_simplex(args.init, args.auto_normalize), args.seed)]
     else:
@@ -276,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         if simplex:
             sp.add_argument("simplex", help="simplex JSON file")
             sp.add_argument("--auto-normalize", action="store_true",
-                            help="renormalize near-unit vertices on ingest")
+                            help="rescale any finite nonzero vertex row to unit length")
 
     sp = sub.add_parser("width", help="mean width of a simplex")
     common(sp, "seed", "samples", "out", simplex=True)

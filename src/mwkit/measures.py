@@ -229,29 +229,11 @@ def _mat_prefactor(d: int, denominator: str = "d-1") -> float:
     raise ValueError("prefactor_denominator must be 'd-1' or 'd-2'")
 
 
-def _reduced_cell(cell: HalfspaceCell) -> tuple[np.ndarray, np.ndarray]:
-    """(h, H_red) of a simplex cell with vertex e1.
-
-    The row of H whose facet does not pass through e1 is moved first; h is
-    its off-axis part over its e1 entry and H_red the rows of the other
-    facets without their first column, so the reduced simplex T~ in S^{d-2}
-    is {theta : H_red theta >= 0}.
-    """
-    d = cell.d
-    if d < 3:
-        raise ValueError("the reduced integral needs ambient dimension d >= 3")
-    H = cell.H
-    first_col = H[:, 0]
-    big = np.abs(first_col) > 1e-9
-    if big.sum() != 1:
-        raise ValueError("cell does not have e1 as a vertex "
-                         "(first column of H is not proportional to e1)")
-    k = int(np.argmax(big))
-    if first_col[k] < 0:
-        raise ValueError("e1 lies outside the cell (negative first-row entry)")
-    order = [k] + [i for i in range(d) if i != k]
-    H = H[order]
-    return H[0, 1:] / H[0, 0], H[1:, 1:]
+def _reduced_cell(cell: HalfspaceCell) -> np.ndarray:
+    """H with the row of largest |first entry| moved first: the facet of a
+    cell with vertex e1 that does not pass through e1."""
+    k = int(np.argmax(np.abs(cell.H[:, 0])))
+    return cell.H[[k] + [i for i in range(cell.d) if i != k]]
 
 
 def _reduced_directions(d: int, n: int, seed: int) -> np.ndarray:
@@ -265,15 +247,37 @@ def _reduced_directions(d: int, n: int, seed: int) -> np.ndarray:
     return theta
 
 
-def _reduced_integrand(theta: np.ndarray, h: np.ndarray,
-                       H_red: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the directions (columns of theta) inside the reduced simplex,
-    (H_red theta).min(axis=0) >= 0, and the integrand
-    (1 + (theta . h)^2)^{(1-d)/2} there; it is 0 elsewhere."""
-    P = np.vstack([H_red, h]) @ theta  # one product: H_red theta, then h . theta
-    inside = np.flatnonzero(P[:-1].min(axis=0) >= 0.0)
-    d = theta.shape[0] + 1
-    return inside, (1.0 + P[-1, inside] ** 2) ** ((1 - d) / 2.0)
+# |first entry| bound of a piece's rows through e1; row 0 lies above it
+_E1_TOL = 1e-9
+
+
+def _reduced_sum(N: np.ndarray, signs, theta: np.ndarray) -> np.ndarray:
+    """Per-direction signed sum G = sum_k signs[k] g_k(theta) 1{theta in T~_k}
+    over a (pieces, d, d) stack N of inward unit-normal matrices of cells
+    with vertex e1, row 0 the facet opposite e1; theta holds n directions on
+    S^{d-2} as the columns of a (d-1, n) array.  T~_k is
+    {theta : N[k, 1:, 1:] theta >= 0} and g_k = (1 + (theta . h_k)^2)^{(1-d)/2}
+    with h_k = N[k, 0, 1:] / N[k, 0, 0].  Raises ValueError unless every
+    piece has |det| >= GLOBAL_EPS and a first column that is a positive
+    multiple of e1.  Adds one piece at a time: memory is one (d, n) product.
+    """
+    d = N.shape[-1]
+    if d < 3:
+        raise ValueError("the reduced integral needs ambient dimension d >= 3")
+    first = N[:, :, 0]
+    if not np.all(np.abs(np.linalg.det(N)) >= GLOBAL_EPS):
+        raise ValueError("a piece is singular: not a proper simplex cell")
+    if not (np.all(first[:, 0] > _E1_TOL) and np.all(np.abs(first[:, 1:]) <= _E1_TOL)):
+        raise ValueError("a piece does not have e1 as a vertex (its first column "
+                         "of normals is not a positive multiple of e1)")
+    # per piece the rows of N[k, 1:, 1:], then h_k: one product gives both
+    A = np.concatenate([N[:, 1:, 1:], (N[:, 0, 1:] / first[:, :1])[:, None]], axis=1)
+    G = np.zeros(theta.shape[1])
+    for Ak, sign in zip(A, signs):
+        P = Ak @ theta
+        inside = np.flatnonzero(P[:-1].min(axis=0) >= 0.0)
+        G[inside] += sign * (1.0 + P[-1, inside] ** 2) ** ((1 - d) / 2.0)
+    return G
 
 
 # cell_marginal_mean_MAT raises below this share of directions inside T~
@@ -290,22 +294,20 @@ def cell_marginal_mean_MAT(cell: HalfspaceCell, n_samples: int, seed: int,
     (sub-matrix of H with first row and column removed), h the normalized
     off-axis part of the facet opposite e1 and c_d = 1/((d-1) W^{d-2}).
     Raises ValueError when fewer than ``_MIN_ACCEPTANCE * n_samples``
-    directions land in T~.  ``mean_width_mat`` runs the same three steps
-    (reduced cell, direction draw, integrand) but shares one draw among the
-    pieces of a Voronoi cell.
+    directions land in T~.  The cell, its facet opposite e1 moved first, is
+    a stack of one piece for ``_reduced_sum``; ``mean_width_mat`` runs the
+    same kernel on all the pieces of a Voronoi cell with one draw.
 
     ``prefactor_denominator`` exists only as a regression hook: passing
     "d-2" selects the (provably wrong) alternative normalization so tests can
     show it fails the octant check.
     """
-    h, H_red = _reduced_cell(cell)
     pref = _mat_prefactor(cell.d, prefactor_denominator)
     theta = _reduced_directions(cell.d, n_samples, seed)
-    inside, g_inside = _reduced_integrand(theta, h, H_red)
-    if len(inside) < _MIN_ACCEPTANCE * n_samples:
+    g = _reduced_sum(_reduced_cell(cell)[None], (1.0,), theta)
+    # the integrand is positive, so g is nonzero exactly on the hits
+    if np.count_nonzero(g) < _MIN_ACCEPTANCE * n_samples:
         raise ValueError("rejection acceptance rate below threshold: "
                          "cell too thin for naive sampling")
-    g = np.zeros(n_samples)
-    g[inside] = g_inside
     se = g.std(ddof=1) / np.sqrt(n_samples) if n_samples > 1 else 0.0
     return MarginalMean(float(pref * g.mean()), float(pref * se), region="cell(MAT)")

@@ -18,8 +18,7 @@ import numpy as np
 from .cells import (DegeneracyError, InscribedSimplex, _chain_orders,
                     _chain_path, _complex24_core, random_simplex)
 from .cells import cell_vertex  # noqa: F401  the benchmark's trace test wraps it
-from .measures import (HalfspaceCell, _mat_prefactor, _reduced_cell,
-                       _reduced_directions, _reduced_integrand)
+from .measures import _mat_prefactor, _reduced_directions, _reduced_sum
 from .sphere import _unit_normals
 
 __all__ = [
@@ -191,10 +190,10 @@ def mean_width_mat(S: InscribedSimplex, n: int, seed: int) -> WidthEstimate:
     read by one stacked ``_chain_path`` call; the pieces are rotated together
     so v_i sits at e1, where each reduced simplex lies in the same S^{d-2}.
     So the cell draws one set of n directions on S^{d-2}, cell i with
-    seed + i, and every piece adds sign * g_k(theta) 1{theta in T~_k} to one
-    per-direction sum G (common random numbers).  The cell's marginal
-    mean is c_d mean(G), with std error c_d std(G)/sqrt(n) taken from those
-    per-direction cell sums; the cells are independent, so w = 2 sum_i of
+    seed + i, and ``_reduced_sum`` adds every piece's
+    sign * g_k(theta) 1{theta in T~_k} to one per-direction sum G (common
+    random numbers).  The cell's marginal mean is c_d mean(G), with std
+    error c_d std(G)/sqrt(n) taken from those per-direction cell sums; the cells are independent, so w = 2 sum_i of
     the cell means and its se is 2 sqrt(sum of the cell variances).  A piece
     that no direction hits adds 0 and leaves the estimate unbiased.
     """
@@ -208,16 +207,12 @@ def mean_width_mat(S: InscribedSimplex, n: int, seed: int) -> WidthEstimate:
     for i, orders in enumerate(_chain_orders(d + 1).reshape(d + 1, -1, d)):
         paths, signs = _chain_path(S._faces, orders)
         P = paths @ _rotation_to_e1(V[i]).T  # rotated path vertices, first is e1
-        N = _unit_normals(P.transpose(0, 2, 1))
+        N = _unit_normals(P.transpose(0, 2, 1))  # row 0: the facet opposite e1
         theta = _reduced_directions(d, n, seed + i)
-        G = np.zeros(n)
-        for Nk, sign in zip(N, signs):
-            try:
-                h, H_red = _reduced_cell(HalfspaceCell(Nk))
-            except ValueError as exc:
-                raise ValueError(f"cell {i}: {exc}") from exc
-            inside, g = _reduced_integrand(theta, h, H_red)
-            G[inside] += sign * g
+        try:
+            G = _reduced_sum(N, signs, theta)
+        except ValueError as exc:
+            raise ValueError(f"cell {i}: {exc}") from exc
         total += G.mean()
         if n > 1:
             var += G.var(ddof=1) / n

@@ -7,10 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from mwkit import (DegeneracyError, InscribedSimplex, adjacent_dihedral_angles,
-                   cell_vertex, decompose_simplex, equidistant_point,
-                   feasibility_checks, gram_matrix, maximal_chains,
-                   path_simplex_from_chain, random_simplex,
+from mwkit import (DegeneracyError, InscribedSimplex, SignedPathSimplex,
+                   adjacent_dihedral_angles, cell_vertex, decompose_simplex,
+                   equidistant_point, feasibility_checks, gram_matrix,
+                   maximal_chains, path_simplex_from_chain, random_simplex,
                    right_triangle_complex, vertex_angle, voronoi_cells)
 from mwkit import cells as mwcells
 from mwkit.width import regular_simplex
@@ -70,6 +70,8 @@ class TestInscribedSimplex:
         S = regular_simplex(3)
         assert S.d == 3
         assert S.vertices.shape == (4, 3)
+        with pytest.raises(ValueError, match=r"\(d\+1, d\) array"):
+            InscribedSimplex(np.eye(3))
 
 
 class TestVoronoiCells:
@@ -119,6 +121,15 @@ class TestFacePoints:
                 excl = [j for j in range(4) if j not in subset][0]
                 assert q @ (S.vertices[subset[0]] - S.vertices[excl]) > 0
 
+    @pytest.mark.parametrize("face, subset, match", [
+        (equidistant_point, (), "between 1 and d"),
+        (equidistant_point, (0, 4), "out of range"),
+        (cell_vertex, (0, 1), "subsets of size d"),
+    ])
+    def test_subset_checks(self, face, subset, match):
+        with pytest.raises(ValueError, match=match):
+            face(regular_simplex(3), subset)
+
     @pytest.mark.filterwarnings("error")
     def test_dependent_subset_raises_without_a_numpy_warning(self):
         # v_0, v_1 and v_4 lie on one great circle, so {0, 1, 4} has no face
@@ -143,6 +154,15 @@ class TestChains:
             for small, big in zip(chain, chain[1:]):
                 assert small < big
 
+    @pytest.mark.parametrize("chain, match", [
+        ([{0}, {0, 1}], "sizes 1 through d"),
+        ([{0}, {1, 2}, {1, 2, 3}], "increasing under inclusion"),
+        ([{0}, {0, 1}, {0, 1, 4}], "out of range"),
+    ])
+    def test_invalid_chain_rejected(self, chain, match):
+        with pytest.raises(ValueError, match=match):
+            path_simplex_from_chain(regular_simplex(3), chain)
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_read_from_the_chain_orders(self, d):
         # the chains Q_k = seq[:k] of the d-permutations of range(d + 1), in
@@ -165,6 +185,12 @@ class TestDecomposeSimplex:
         O = sample_sphere(rng, 1, d)[0]
         pieces = decompose_simplex(T, O)
         assert len(pieces) == math.factorial(m)
+
+    def test_input_checks(self):
+        with pytest.raises(ValueError, match="at least two vertices"):
+            decompose_simplex(np.eye(3)[:1], np.eye(3)[1])
+        with pytest.raises(ValueError, match="sign must be"):
+            SignedPathSimplex(np.eye(3), 0)
 
     def test_signed_indicator_d3(self):
         rng = np.random.default_rng(5)

@@ -312,6 +312,7 @@ ERROR_PATHS = {
                      "cannot write {missing}/trace.csv"),
     "optimize-simplex-out": (5, "optimize -d 3 --max-iter 3 --simplex-out {missing}/best.json",
                              "cannot write {missing}/best.json"),
+    "width-no-d": (5, "width {nod}", "malformed simplex document"),
     "width-nan": (5, "width {nan}", "invalid simplex"),
     "decompose-nan": (5, "decompose {nan}", "invalid simplex"),
     "optimize-init-nan": (5, "optimize --init {nan}", "invalid simplex"),
@@ -338,6 +339,8 @@ def test_error_path(case, tmp_path, capsys):
                     ("inf", np.vstack([[np.inf, 0.0, 0.0], V[1:]])),
                     ("equidistant", EQUIDISTANT_FACE_POINT)):
         files[name] = write_vertices(tmp_path / f"{name}.json", W)
+    (tmp_path / "nod.json").write_text(json.dumps({"vertices": V.tolist()}))
+    files["nod"] = str(tmp_path / "nod.json")
     assert main([arg.format(**files) for arg in argv.split()]) == code
     out, err = capsys.readouterr()
     err = err.splitlines()

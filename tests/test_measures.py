@@ -14,7 +14,8 @@ from mwkit import (HalfspaceCell, MarginalMean, arc_length, cap_marginal_mean,
                    spherical_triangle_area, triangle_marginal_mean,
                    wallis_complete, wallis_incomplete, wallis_table)
 from mwkit.config import GLOBAL_EPS
-from mwkit.measures import _moment, _right_marginal_value
+from mwkit.measures import (_moment, _reduced_directions, _reduced_sum,
+                            _right_marginal_value)
 
 
 def sample_sphere(rng, n, d=3):
@@ -409,10 +410,31 @@ class TestCellMarginalMAT:
         assert m1.value == m2.value
 
     def test_requires_e1_vertex(self):
-        # valid cell, but rotated so no single facet avoids e1
+        # valid cells, but rotated so no single facet avoids e1, or the
+        # octant opposite e1
         Q = np.linalg.qr(np.ones((3, 3)) + np.eye(3))[0]
-        with pytest.raises(ValueError):
-            cell_marginal_mean_MAT(HalfspaceCell(Q), 1000, seed=0)
+        for H in (Q, -np.eye(3)):
+            with pytest.raises(ValueError, match="e1 as a vertex"):
+                cell_marginal_mean_MAT(HalfspaceCell(H), 1000, seed=0)
+
+    def test_needs_d_at_least_3(self):
+        with pytest.raises(ValueError, match="d >= 3"):
+            cell_marginal_mean_MAT(HalfspaceCell(np.eye(2)), 100, seed=0)
+
+    def test_too_few_hits_raise(self):
+        # seed 0's one direction lands outside the quarter circle
+        with pytest.raises(ValueError, match="acceptance rate"):
+            cell_marginal_mean_MAT(HalfspaceCell(np.eye(3)), 1, seed=0)
+
+    def test_kernel_checks_every_piece(self):
+        singular = np.eye(3)
+        singular[2] = singular[1]
+        theta = _reduced_directions(3, 100, seed=0)
+        # a valid first piece, then a singular one or one whose row 0 is
+        # not the facet opposite e1
+        for bad, match in ((singular, "singular"), (np.eye(3)[[1, 0, 2]], "e1 as a vertex")):
+            with pytest.raises(ValueError, match=match):
+                _reduced_sum(np.stack([np.eye(3), bad]), (1.0, -1.0), theta)
 
     def test_octant_as_before(self):
         for pref, value, se in (("d-1", 0.06248875, 0.00017115324213164783),

@@ -151,6 +151,12 @@ class TestMatRoute:
         assert calls["cell_marginal_mean_MAT"] == 0
         assert calls["_chain_path"] == d + 1  # one stacked call per cell
 
+    def test_bad_piece_names_its_cell(self, monkeypatch):
+        # unrotated, no piece of cell 0 has its first vertex at e1
+        monkeypatch.setattr(width, "_rotation_to_e1", lambda v: np.eye(len(v)))
+        with pytest.raises(ValueError, match="cell 0: .*e1 as a vertex"):
+            mean_width_mat(regular_simplex(3), 100, seed=0)
+
     def test_d5_against_monte_carlo(self):
         S = random_simplex(5, np.random.default_rng(50), feasible=True)
         est = mean_width_mat(S, 30_000, seed=51)
